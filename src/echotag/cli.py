@@ -41,6 +41,7 @@ from .keyfiles import (
     bits_to_hex,
     hex_to_bits,
     load_key_file,
+    read_json_object,
     save_pattern_set,
 )
 from .patterns import generate_pattern_set
@@ -93,8 +94,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--in", dest="in_path", required=True)
     p.add_argument("--key-file", required=True)
     p.add_argument("--key", default=None)
-    p.add_argument("--mode", choices=["single", "spread"], default=None,
-                   help="override the key's natural mode (single scans the band only)")
     p.add_argument("--band", type=int, nargs=2, default=list(DEFAULT_SINGLE_ECHO_BAND),
                    metavar=("A", "B"), help="scan band for single-echo detection")
     p.add_argument("--enhanced", action="store_true",
@@ -203,9 +202,8 @@ def cmd_embed(args) -> int:
 
 def _resolve_manifest(path):
     try:
-        with open(path, encoding="utf-8") as fh:
-            raw = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+        raw = read_json_object(path)
+    except (OSError, ValueError) as exc:
         raise CommandError(f"cannot read manifest {path}: {exc}") from exc
     if raw.get("version") != MANIFEST_VERSION:
         raise CommandError(f"unsupported manifest version {raw.get('version')!r}")
@@ -299,9 +297,6 @@ def cmd_tag_dataset(args) -> int:
 def cmd_detect(args) -> int:
     keys = _load_keys(args.key_file)
     key_name, key = _pick_key(keys, args.key)
-    mode = args.mode or ("spread" if isinstance(key, SpreadKey) else "single")
-    if mode == "spread" and not isinstance(key, SpreadKey):
-        raise CommandError(f"key {key_name!r} is a single echo; cannot run spread detection")
     try:
         clip = load_audio(args.in_path)
     except FileNotFoundError as exc:
@@ -311,21 +306,21 @@ def cmd_detect(args) -> int:
     clip = _canonicalize(clip, args.sample_rate, args.no_resample)
     clip_id = os.path.basename(args.in_path)
     try:
-        if mode == "single":
-            report = detect_single_echo(clip, band=tuple(args.band), key_lag=key.delta,
-                                        clip_id=clip_id, key_id=key_name)
-        else:
+        if isinstance(key, SpreadKey):
             report = detect_spread(clip, key, enhanced=args.enhanced,
                                    clip_id=clip_id, key_id=key_name)
+        else:
+            report = detect_single_echo(clip, band=tuple(args.band), key_lag=key.delta,
+                                        clip_id=clip_id, key_id=key_name)
     except ValueError as exc:
         raise CommandError(f"{args.in_path}: {exc}") from exc
     out_format = args.format or "json"
     if out_format == "json":
         print(json.dumps(report.to_dict(include_profile=args.full_profile), sort_keys=True))
     elif out_format == "csv":
-        writer = csv.DictWriter(sys.stdout, fieldnames=CSV_FIELDS)
+        writer = csv.DictWriter(sys.stdout, fieldnames=CSV_FIELDS, extrasaction="ignore")
         writer.writeheader()
-        writer.writerow(report.to_csv_row())
+        writer.writerow(report.to_dict(include_profile=False))
     else:
         raise CommandError(f"--format must be json or csv for detect, got {out_format!r}")
     return 0

@@ -49,16 +49,13 @@ class ZScore(NamedTuple):
     degenerate: bool
 
 
-def exclusion_zscore(values, i: int, a: int, b: int, halfwidth: int = 0,
-                     mu_over_sigma: bool = False) -> ZScore:
+def exclusion_zscore(values, i: int, a: int, b: int, halfwidth: int = 0) -> ZScore:
     """Exclusion z-score of values[i] against the band [a, b].
 
     The mean and (population) standard deviation are taken over indices
     j in [a, b] with |j - i| > halfwidth; halfwidth=0 excludes only i itself.
     Returns (z, degenerate); degenerate results carry z = 0.0 rather than
-    propagating NaN. mu_over_sigma=True computes the bare ratio mu/sigma
-    instead of the standardized deviation (compatibility mode, see
-    zscore_profile).
+    propagating NaN.
     """
     values = np.asarray(values, dtype=np.float64)
     if not 0 <= a <= i <= b < values.size:
@@ -71,8 +68,7 @@ def exclusion_zscore(values, i: int, a: int, b: int, halfwidth: int = 0,
     sigma = np.sqrt(np.mean((kept - mu) ** 2))
     if sigma < SIGMA_FLOOR:
         return ZScore(0.0, True)
-    numerator = mu if mu_over_sigma else values[i] - mu
-    return ZScore(float(numerator / sigma), False)
+    return ZScore(float((values[i] - mu) / sigma), False)
 
 
 @dataclass
@@ -100,14 +96,8 @@ class ZScoreProfile:
         return float(self.z[lag - a])
 
 
-def zscore_profile(values, band, halfwidth: int = 0, source: str = "cepstrum",
-                   mu_over_sigma: bool = False) -> ZScoreProfile:
-    """Exclusion z-score at every lag of the band, vectorized.
-
-    mu_over_sigma=True evaluates the ratio mu/sigma as literally printed in
-    the source formula; the default standardized form (values[i] - mu)/sigma
-    is what peak detection needs.
-    """
+def zscore_profile(values, band, halfwidth: int = 0, source: str = "cepstrum") -> ZScoreProfile:
+    """Exclusion z-score (values[i] - mu) / sigma at every lag of the band, vectorized."""
     a, b = int(band[0]), int(band[1])
     values = np.asarray(values, dtype=np.float64)
     if not 0 <= a < b < values.size:
@@ -126,8 +116,7 @@ def zscore_profile(values, band, halfwidth: int = 0, source: str = "cepstrum",
     mean_sq = (np.dot(v, v) - (csumsq[hi + 1] - csumsq[lo])) / keep_n
     sigma = np.sqrt(np.maximum(mean_sq - mu * mu, 0.0))
     ok = sigma >= SIGMA_FLOOR
-    numerator = mu if mu_over_sigma else v - mu
-    z = np.where(ok, numerator / np.where(ok, sigma, 1.0), 0.0)
+    z = np.where(ok, (v - mu) / np.where(ok, sigma, 1.0), 0.0)
     return ZScoreProfile(
         z=z,
         band=(a, b),
@@ -164,16 +153,6 @@ class DetectionReport:
             out["z"] = [float(v) for v in self.profile.z]
         return out
 
-    def to_csv_row(self) -> dict:
-        return {
-            "clip_id": self.clip_id,
-            "key_id": self.key_id,
-            "duration_seconds": self.duration_seconds,
-            "argmax_lag": self.argmax_lag,
-            "z_at_key": self.z_at_key,
-            "degenerate": self.profile.degenerate,
-        }
-
 
 def detect_single_echo(clip: AudioClip, band=DEFAULT_SINGLE_ECHO_BAND,
                        key_lag: int | None = None, clip_id: str = "",
@@ -194,9 +173,12 @@ def detect_single_echo(clip: AudioClip, band=DEFAULT_SINGLE_ECHO_BAND,
     argmax_lag; that is how a second echo shows.
 
     z_at_key is read from the reported profile when key_lag is given.
-    Requires len(clip) > 2*band[1].
+    Requires band[0] >= 1 (quefrency 0 is the clip's log level, not an
+    echo) and len(clip) > 2*band[1].
     """
     a, b = band
+    if a < 1:
+        raise ValueError(f"band must start at lag 1 or later; quefrency 0 is the log level, got {a}")
     if len(clip) <= 2 * b:
         raise ValueError(f"clip too short: need more than {2 * b} samples, got {len(clip)}")
     c = real_cepstrum(clip)
@@ -221,10 +203,8 @@ def _cancel_rahmonics(cepstrum: np.ndarray, plain: ZScoreProfile) -> ZScoreProfi
     d = plain.argmax_lag
     residual = cepstrum[a : b + 1].copy()
     alpha = 2.0 * cepstrum[d]
-    # quefrency 0 is the log level, not an echo, and has no rahmonics
-    if d > 0:
-        for k in range(2, b // d + 1):
-            residual[k * d - a] -= (-1) ** (k + 1) * alpha**k / (2 * k)
+    for k in range(2, b // d + 1):
+        residual[k * d - a] -= (-1) ** (k + 1) * alpha**k / (2 * k)
     rescored = np.abs(np.arange(a, b + 1) - d) > PEAK_WINDOW_HALFWIDTH
     count = np.count_nonzero(rescored)
     if count < 3:  # too narrow a band to score anything
@@ -235,30 +215,41 @@ def _cancel_rahmonics(cepstrum: np.ndarray, plain: ZScoreProfile) -> ZScoreProfi
     return replace(plain, z=z, degenerate=plain.degenerate or rest.degenerate)
 
 
+def spread_profile(cepstrum: np.ndarray, template: np.ndarray, delta: int,
+                   enhanced: bool = False) -> ZScoreProfile:
+    """z profile of a cepstrum correlated with a +-1 spread template.
+
+    This is the one spread scorer: detect_spread and the bit-flip harness
+    both score through it, on cepstra they compute once. The band is
+    [3, L + delta] with a +-3 exclusion window, clamped to the available
+    correlation lags; enhanced sharpens the correlation before scoring.
+    """
+    cstar = cross_correlate(cepstrum, template)
+    source = "spread_correlation"
+    if enhanced:
+        cstar = enhance_correlation(cstar)
+        source = "spread_correlation_enhanced"
+    a = SPREAD_BAND_START
+    b = min(len(template) + delta, cstar.size - 1)
+    if b <= a + 2 * SPREAD_EXCLUSION_HALFWIDTH:
+        raise ValueError("clip too short for any usable spread detection band")
+    return zscore_profile(cstar, (a, b), halfwidth=SPREAD_EXCLUSION_HALFWIDTH, source=source)
+
+
 def detect_spread(clip: AudioClip, key: SpreadKey, enhanced: bool = False,
                   clip_id: str = "", key_id: str = "") -> DetectionReport:
-    """Correlate the cepstrum with the key's +-1 template and score the band.
+    """Score the clip's cepstrum against the key's template (see spread_profile).
 
-    The band is [3, L + delta] with a +-3 exclusion window; when the clip is
-    too short for the full band it is clamped to the available correlation
-    lags. z_at_key reports the score at the key's lag.
+    z_at_key reports the score at the key's lag, or None when the band was
+    clamped below it.
     """
     length, delta = key.length, key.delta
     if len(clip) <= length + delta + 1:
         raise ValueError(
             f"clip too short: need more than {length + delta + 1} samples, got {len(clip)}"
         )
-    c = real_cepstrum(clip)
-    cstar = cross_correlate(c, key.template)
-    source = "spread_correlation"
-    if enhanced:
-        cstar = enhance_correlation(cstar)
-        source = "spread_correlation_enhanced"
-    a = SPREAD_BAND_START
-    b = min(length + delta, cstar.size - 1)
-    if b <= a + 2 * SPREAD_EXCLUSION_HALFWIDTH:
-        raise ValueError("clip too short for any usable spread detection band")
-    profile = zscore_profile(cstar, (a, b), halfwidth=SPREAD_EXCLUSION_HALFWIDTH, source=source)
+    profile = spread_profile(real_cepstrum(clip), key.template, delta, enhanced)
+    a, b = profile.band
     z_at_key = profile.z_at(delta) if a <= delta <= b else None
     return DetectionReport(
         profile=profile,

@@ -8,7 +8,7 @@ length as the input so tagged dataset files keep their durations.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -71,13 +71,11 @@ class SpreadKey:
         return 2.0 * self.pattern - 1.0
 
 
-def build_echo_kernel(key, direct_path: bool = True) -> np.ndarray:
+def build_echo_kernel(key) -> np.ndarray:
     """Convolution kernel equivalent of a key.
 
     EchoKey -> [1, 0 x (delta-1), alpha]; SpreadKey -> length delta+L kernel
     with a unit impulse at 0 and alpha*(2p-1) over [delta, delta+L).
-    direct_path=False drops the unit impulse from spread kernels (the literal
-    "pure spread" filter, kept for comparison; it destroys the carrier).
     """
     if isinstance(key, EchoKey):
         kernel = np.zeros(key.delta + 1)
@@ -86,8 +84,7 @@ def build_echo_kernel(key, direct_path: bool = True) -> np.ndarray:
         return kernel
     if isinstance(key, SpreadKey):
         kernel = np.zeros(key.delta + key.length)
-        if direct_path:
-            kernel[0] = 1.0
+        kernel[0] = 1.0
         kernel[key.delta :] += key.alpha * key.template
         return kernel
     raise TypeError(f"expected EchoKey or SpreadKey, got {type(key).__name__}")
@@ -105,7 +102,7 @@ def embed_single_echo(clip: AudioClip, key: EchoKey) -> AudioClip:
     return AudioClip(out, clip.sample_rate)
 
 
-def embed_spread(clip: AudioClip, key: SpreadKey, direct_path: bool = True) -> AudioClip:
+def embed_spread(clip: AudioClip, key: SpreadKey) -> AudioClip:
     """Embed a time-spread echo by convolving with the spread kernel.
 
     Output is truncated to the input length.
@@ -115,7 +112,7 @@ def embed_spread(clip: AudioClip, key: SpreadKey, direct_path: bool = True) -> A
             f"spread kernel (length {key.delta + key.length}) must be shorter "
             f"than the clip (length {len(clip)})"
         )
-    kernel = build_echo_kernel(key, direct_path=direct_path)
+    kernel = build_echo_kernel(key)
     out = convolve(clip, kernel)
     return AudioClip(out.samples[: len(clip)], clip.sample_rate)
 
@@ -124,12 +121,7 @@ def scaled_key(key, factor: float):
     """Copy of a key with alpha scaled by factor (used by attack channels)."""
     if factor <= 0:
         raise ValueError(f"alpha scale factor must be positive, got {factor}")
-    alpha = key.alpha * factor
-    if isinstance(key, EchoKey):
-        return EchoKey(delta=key.delta, alpha=alpha)
-    if isinstance(key, SpreadKey):
-        return SpreadKey(pattern=key.pattern, alpha=alpha, delta=key.delta)
-    raise TypeError(f"expected EchoKey or SpreadKey, got {type(key).__name__}")
+    return replace(key, alpha=key.alpha * factor)
 
 
 def embed(clip: AudioClip, key) -> AudioClip:

@@ -11,7 +11,7 @@ Config schema (version 1):
      "key_file": "keys.json", "key": "echo75",
      "channel": {"kind": "identity", "seed": 0},
      "durations": [5, 10, 30, 60], "segments_per_clip": 4,
-     "band": [25, 125],
+     "band": [25, 125],                          # single-echo scan, 1 <= a < b
      "include_clean": true,                      # also run unembedded rows
      "flips": [0, 128, 256, 384, 512],          # optional, spread keys only
      "bitflip_duration": 30,                     # optional, default 30
@@ -24,7 +24,7 @@ import csv
 import glob
 import json
 import os
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -37,7 +37,7 @@ from .harness import (
     run_bitflip_curve,
     run_duration_sweep,
 )
-from .keyfiles import load_key_file
+from .keyfiles import load_key_file, read_json_object
 
 CONFIG_VERSION = 1
 
@@ -57,9 +57,9 @@ class ConfigError(ValueError):
 
 @dataclass
 class EvalConfig:
-    corpus: str
-    key_file: str
-    key: str
+    corpus: list  # sorted clip paths the config's glob matched
+    key_name: str
+    key: object  # the named EchoKey or SpreadKey, loaded from the key file
     output_dir: str
     seed: int = 0
     channel: ChannelSpec = field(default_factory=ChannelSpec)
@@ -74,9 +74,8 @@ class EvalConfig:
 def load_eval_config(path) -> EvalConfig:
     problems = []
     try:
-        with open(path, encoding="utf-8") as fh:
-            raw = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+        raw = read_json_object(path)
+    except (OSError, ValueError) as exc:
         raise ConfigError([f"cannot read config {path!r}: {exc}"]) from exc
     if raw.get("version") != CONFIG_VERSION:
         problems.append(f"version must be {CONFIG_VERSION}, got {raw.get('version')!r}")
@@ -102,8 +101,8 @@ def load_eval_config(path) -> EvalConfig:
     if not isinstance(segments, int) or segments < 1:
         problems.append("'segments_per_clip' must be a positive integer")
     band = tuple(raw.get("band", DEFAULT_SINGLE_ECHO_BAND))
-    if len(band) != 2 or band[0] < 0 or band[0] >= band[1]:
-        problems.append(f"'band' must be [a, b] with 0 <= a < b, got {list(band)}")
+    if len(band) != 2 or band[0] < 1 or band[0] >= band[1]:
+        problems.append(f"'band' must be [a, b] with 1 <= a < b, got {list(band)}")
     flips = raw.get("flips")
     if flips is not None and (not isinstance(flips, list)
                               or any(not isinstance(k, int) or k < 0 for k in flips)):
@@ -118,22 +117,24 @@ def load_eval_config(path) -> EvalConfig:
     if not isinstance(include_clean, bool):
         problems.append("'include_clean' must be a boolean")
 
-    keys = {}
+    keys = None
     if isinstance(raw.get("key_file"), str) and raw.get("key_file"):
         try:
             keys = load_key_file(_resolve(raw["key_file"]))
         except (OSError, ValueError, KeyError) as exc:
             problems.append(f"key_file: {exc}")
     key_name = raw.get("key")
-    if keys and isinstance(key_name, str) and key_name not in keys:
-        problems.append(f"key {key_name!r} not found in key file (has {sorted(keys)})")
+    key = None
+    if keys is not None and isinstance(key_name, str) and key_name:
+        key = keys.get(key_name)
+        if key is None:
+            problems.append(f"key {key_name!r} not found in key file (has {sorted(keys)})")
     corpus_paths = []
     if isinstance(raw.get("corpus"), str) and raw.get("corpus"):
         corpus_paths = sorted(glob.glob(_resolve(raw["corpus"])))
         if not corpus_paths:
             problems.append(f"corpus glob {raw['corpus']!r} matched no files")
-    if flips is not None and keys and isinstance(key_name, str) and key_name in keys:
-        key = keys[key_name]
+    if flips is not None and key is not None:
         if not isinstance(key, SpreadKey):
             problems.append("'flips' requires a spread key")
         elif any(k > key.length for k in flips):
@@ -141,9 +142,9 @@ def load_eval_config(path) -> EvalConfig:
     if problems:
         raise ConfigError(problems)
     return EvalConfig(
-        corpus=_resolve(raw["corpus"]),
-        key_file=_resolve(raw["key_file"]),
-        key=key_name,
+        corpus=corpus_paths,
+        key_name=key_name,
+        key=key,
         output_dir=_resolve(raw["output_dir"]),
         seed=seed,
         channel=channel,
@@ -171,11 +172,8 @@ def run_evaluation(config: EvalConfig) -> dict:
 
     Returns the summary dict.
     """
-    keys = load_key_file(config.key_file)
-    key = keys[config.key]
-    corpus = [(os.path.basename(p), load_audio(p)) for p in sorted(glob.glob(config.corpus))]
-    if not corpus:
-        raise ValueError(f"corpus glob {config.corpus!r} matched no files")
+    key = config.key
+    corpus = [(os.path.basename(p), load_audio(p)) for p in config.corpus]
 
     rows = run_duration_sweep(
         corpus, key,
@@ -186,23 +184,12 @@ def run_evaluation(config: EvalConfig) -> dict:
         band=config.band,
         include_clean=config.include_clean,
     )
-    csv_rows = [{
-        "experiment": "duration_sweep",
-        "clip_id": r.clip_id,
-        "condition": r.condition,
-        "key_id": r.key_id,
-        "duration_seconds": r.duration_seconds,
-        "segment_index": r.segment_index,
-        "flips": None,
-        "argmax_lag": r.argmax_lag,
-        "z_at_key": r.z_at_key,
-        "degenerate": r.degenerate,
-    } for r in rows]
+    csv_rows = [{"experiment": "duration_sweep", "flips": None, **asdict(r)} for r in rows]
 
     clean_z = np.array([r.z_at_key for r in rows if r.condition == "clean" and r.z_at_key is not None])
     summary = {
         "version": CONFIG_VERSION,
-        "key": config.key,
+        "key": config.key_name,
         "key_id": key_label(key),
         "channel": config.channel.to_dict(),
         "seed": config.seed,

@@ -15,8 +15,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .audio import AudioClip, mix, resample
-from .detect import detect_single_echo, detect_spread
-from .dsp import cross_correlate, real_cepstrum
+from .detect import detect_single_echo, detect_spread, spread_profile
+from .dsp import real_cepstrum
 from .embed import DEFAULT_SINGLE_ECHO_BAND, EchoKey, SpreadKey, embed, scaled_key
 from .patterns import flip_bits
 
@@ -103,15 +103,6 @@ class ChannelSpec:
     @classmethod
     def from_dict(cls, d: dict) -> "ChannelSpec":
         return cls(**d)
-
-    def describe(self) -> str:
-        d = self.to_dict()
-        d.pop("seed", None)
-        kind = d.pop("kind")
-        if kind == "composite":
-            return "composite[" + "+".join(s.describe() for s in self.stages) + "]"
-        args = ",".join(f"{k}={v}" for k, v in sorted(d.items()))
-        return f"{kind}({args})" if args else kind
 
 
 def echo_alpha_scale(spec: ChannelSpec) -> float:
@@ -262,12 +253,6 @@ def _random_segment(clip: AudioClip, duration_seconds: float, rng) -> AudioClip:
     return AudioClip(clip.samples[start : start + n], clip.sample_rate)
 
 
-def _detect(clip: AudioClip, key, band, enhanced: bool = False):
-    if isinstance(key, EchoKey):
-        return detect_single_echo(clip, band=band, key_lag=key.delta)
-    return detect_spread(clip, key, enhanced=enhanced)
-
-
 def run_duration_sweep(corpus, key, durations, segments_per_clip: int,
                        channel: ChannelSpec = ChannelSpec(), seed: int = 0,
                        band=DEFAULT_SINGLE_ECHO_BAND, include_clean: bool = True):
@@ -293,7 +278,10 @@ def run_duration_sweep(corpus, key, durations, segments_per_clip: int,
                     conditions.append(("clean", segment))
                 for condition, prepared in conditions:
                     degraded = apply_channel(prepared, channel, salt=cell)
-                    report = _detect(degraded, key, band)
+                    if isinstance(key, EchoKey):
+                        report = detect_single_echo(degraded, band=band, key_lag=key.delta)
+                    else:
+                        report = detect_spread(degraded, key)
                     rows.append(SweepRow(
                         clip_id=clip_id,
                         condition=condition,
@@ -326,20 +314,6 @@ class BitflipCurve:
     clean_scores: np.ndarray
 
 
-def _spread_z(cepstrum: np.ndarray, pattern: np.ndarray, delta: int):
-    """z profile of a cepstrum correlated against one pattern's template."""
-    from .detect import SPREAD_BAND_START, SPREAD_EXCLUSION_HALFWIDTH, zscore_profile
-
-    template = 2.0 * np.asarray(pattern, dtype=np.float64) - 1.0
-    cstar = cross_correlate(cepstrum, template)
-    length = template.size
-    b = min(length + delta, cstar.size - 1)
-    profile = zscore_profile(cstar, (SPREAD_BAND_START, b),
-                             halfwidth=SPREAD_EXCLUSION_HALFWIDTH,
-                             source="spread_correlation")
-    return profile.z_at(delta)
-
-
 def run_bitflip_curve(corpus, spread_key: SpreadKey, flips, channel: ChannelSpec = ChannelSpec(),
                       duration_seconds: float = 30.0, segments_per_clip: int = 1,
                       seed: int = 0) -> BitflipCurve:
@@ -354,6 +328,7 @@ def run_bitflip_curve(corpus, spread_key: SpreadKey, flips, channel: ChannelSpec
     if max(flips, default=0) > spread_key.length:
         raise ValueError(f"flip counts must be <= pattern length {spread_key.length}")
     effective_key = scaled_key(spread_key, echo_alpha_scale(channel))
+    template, delta = spread_key.template, spread_key.delta
     true_scores = []
     clean_scores = []
     false_scores = {k: [] for k in flips}
@@ -366,11 +341,11 @@ def run_bitflip_curve(corpus, spread_key: SpreadKey, flips, channel: ChannelSpec
             clean = apply_channel(segment, channel, salt=cell)
             c_embedded = real_cepstrum(embedded)
             c_clean = real_cepstrum(clean)
-            true_scores.append(_spread_z(c_embedded, spread_key.pattern, spread_key.delta))
-            clean_scores.append(_spread_z(c_clean, spread_key.pattern, spread_key.delta))
+            true_scores.append(spread_profile(c_embedded, template, delta).z_at(delta))
+            clean_scores.append(spread_profile(c_clean, template, delta).z_at(delta))
             for k in flips:
-                perturbed = flip_bits(spread_key.pattern, k, seed=[seed, cell, k, 7])
-                false_scores[k].append(_spread_z(c_embedded, perturbed, spread_key.delta))
+                perturbed = 2.0 * flip_bits(spread_key.pattern, k, seed=[seed, cell, k, 7]) - 1.0
+                false_scores[k].append(spread_profile(c_embedded, perturbed, delta).z_at(delta))
     flip_results = [(k, roc(true_scores, false_scores[k])) for k in flips]
     clean_roc = roc(true_scores, clean_scores)
     return BitflipCurve(

@@ -49,6 +49,15 @@ def hex_to_bits(hex_string: str, length: int) -> np.ndarray:
     return bits[:length].astype(np.uint8)
 
 
+def read_json_object(path) -> dict:
+    """Parse a JSON file whose top level must be an object; OSError or ValueError otherwise."""
+    with open(path, encoding="utf-8") as fh:
+        document = json.load(fh)
+    if not isinstance(document, dict):
+        raise ValueError(f"{path!r} must hold a JSON object, got {type(document).__name__}")
+    return document
+
+
 def key_to_dict(key) -> dict:
     if isinstance(key, EchoKey):
         return {"type": "single", "delta": key.delta, "alpha": key.alpha}
@@ -88,8 +97,7 @@ def save_key_file(keys: dict, path) -> None:
 
 
 def load_key_file(path) -> dict:
-    with open(path, encoding="utf-8") as fh:
-        document = json.load(fh)
+    document = read_json_object(path)
     version = document.get("version")
     if version != KEY_FILE_VERSION:
         raise ValueError(f"unsupported key file version {version!r} in {path!r}")
@@ -115,8 +123,7 @@ def save_pattern_set(ps: PatternSet, path) -> None:
 
 
 def load_pattern_set(path) -> PatternSet:
-    with open(path, encoding="utf-8") as fh:
-        document = json.load(fh)
+    document = read_json_object(path)
     version = document.get("version")
     if version != PATTERN_FILE_VERSION:
         raise ValueError(f"unsupported pattern file version {version!r} in {path!r}")

@@ -16,6 +16,10 @@ import numpy as np
 log = logging.getLogger(__name__)
 
 MAX_RUN = 2
+# sweeps of repair_runs per pattern bit; in practice one or two suffice
+REPAIR_SWEEPS_PER_BIT = 10
+# attempts generate_pattern_set makes at the distance-spread targets
+PATTERN_SET_TRIES = 1000
 
 
 @dataclass
@@ -83,13 +87,12 @@ def generate_pattern(length: int, seed: int) -> np.ndarray:
     return bits
 
 
-def repair_runs(pattern, max_iter: int | None = None) -> np.ndarray:
+def repair_runs(pattern) -> np.ndarray:
     """Flip the middle bit of every run longer than two until none remain."""
     bits = np.asarray(pattern, dtype=np.uint8).copy()
     n = bits.size
-    if max_iter is None:
-        max_iter = 10 * n
-    for _ in range(max_iter):
+    max_sweeps = REPAIR_SWEEPS_PER_BIT * n
+    for _ in range(max_sweeps):
         changed = False
         i = 0
         while i < n:
@@ -102,8 +105,7 @@ def repair_runs(pattern, max_iter: int | None = None) -> np.ndarray:
             i = j + 1
         if not changed:
             return bits
-    # cap is generous; in practice one or two sweeps suffice
-    log.warning("run repair did not converge in %d sweeps", max_iter)
+    log.warning("run repair did not converge in %d sweeps", max_sweeps)
     return bits
 
 
@@ -148,7 +150,7 @@ def _spread_gaps(distances, length) -> np.ndarray:
     return np.diff(edges)
 
 
-def generate_pattern_set(count: int, length: int, seed: int, max_tries: int = 1000) -> PatternSet:
+def generate_pattern_set(count: int, length: int, seed: int) -> PatternSet:
     """Build `count` run-valid patterns whose pairwise distances spread over (0, L).
 
     Pattern 0 comes from generate_pattern; the others flip nested random
@@ -167,7 +169,7 @@ def generate_pattern_set(count: int, length: int, seed: int, max_tries: int = 10
 
     best = None
     best_gap = np.inf
-    for _ in range(max_tries):
+    for _ in range(PATTERN_SET_TRIES):
         perm = rng.permutation(length)
         patterns = [base]
         for t in targets:
@@ -184,7 +186,7 @@ def generate_pattern_set(count: int, length: int, seed: int, max_tries: int = 10
     log.warning(
         "pattern set (count=%d, L=%d, seed=%d) did not meet spread targets in %d tries; "
         "returning best found (max gap %d)",
-        count, length, seed, max_tries, int(best_gap),
+        count, length, seed, PATTERN_SET_TRIES, int(best_gap),
     )
     patterns, matrix = best
     return PatternSet(patterns=patterns, seed=seed, distance_matrix=matrix, converged=False)

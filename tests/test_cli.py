@@ -129,6 +129,11 @@ class TestEmbedDetect:
                        "--key-file", tmp_path / "nope.json") == 1
         assert "key file" in capsys.readouterr().err
 
+    def test_band_from_quefrency_zero_rejected(self, keyfile, carrier_wav, capsys):
+        assert run_cli("detect", "--in", carrier_wav, "--key-file", keyfile,
+                       "--key", "echo75", "--band", 0, 125) == 1
+        assert "lag 1" in capsys.readouterr().err
+
     def test_clean_file_detection_still_exits_zero(self, keyfile, carrier_wav, capsys):
         # detection is a measurement, not a pass/fail gate
         assert run_cli("detect", "--in", carrier_wav,
@@ -310,6 +315,19 @@ class TestEvaluate:
         assert "segments_per_clip" in err
         assert not (tmp_path / "r").exists()  # no partial outputs
 
+    def test_band_must_start_at_lag_one(self, tmp_path, keyfile, capsys):
+        config = self._config(tmp_path, keyfile, band=[0, 125])
+        assert run_cli("evaluate", "--config", config) == 1
+        assert "1 <= a < b" in capsys.readouterr().err
+        assert not (tmp_path / "results").exists()
+
+    def test_empty_key_map_reported(self, tmp_path, keyfile, capsys):
+        empty = tmp_path / "empty_keys.json"
+        empty.write_text(json.dumps({"version": 1, "keys": {}}))
+        config = self._config(tmp_path, keyfile, key_file=str(empty))
+        assert run_cli("evaluate", "--config", config) == 1
+        assert "key 'echo75' not found in key file" in capsys.readouterr().err
+
     def test_spread_key_with_flips(self, tmp_path, keyfile, capsys):
         corpus_dir = tmp_path / "corpus"
         os.makedirs(corpus_dir, exist_ok=True)
@@ -324,3 +342,15 @@ class TestEvaluate:
         aurocs = summary["bitflip_curve"]["auroc"]
         assert aurocs[0] == pytest.approx(0.5, abs=1e-9)
         assert summary["bitflip_curve"]["clean_auroc"] >= 0.9
+
+
+@pytest.mark.parametrize("argv", [
+    ["evaluate", "--config"],
+    ["tag-dataset", "--manifest"],
+    ["detect", "--in", "unused.wav", "--key-file"],
+])
+def test_json_file_that_is_not_an_object_fails_cleanly(tmp_path, capsys, argv):
+    path = tmp_path / "list.json"
+    path.write_text("[1, 2]")
+    assert run_cli(*argv, path) == 1  # an error message, not an uncaught exception
+    assert "must hold a JSON object" in capsys.readouterr().err

@@ -20,7 +20,7 @@ from echotag import (
     real_cepstrum,
     zscore_profile,
 )
-from echotag.detect import RAHMONIC_CANCEL_Z
+from echotag.detect import CSV_FIELDS, RAHMONIC_CANCEL_Z, spread_profile
 from echotag.harness import apply_channel
 from helpers import SR, noise_clip
 
@@ -64,14 +64,6 @@ class TestExclusionZscore:
         z, degenerate = exclusion_zscore(np.full(50, 2.0), 10, 0, 49)
         assert degenerate
         assert z == 0.0
-
-    def test_mu_over_sigma_compat_mode(self):
-        rng = np.random.default_rng(2)
-        values = rng.standard_normal(200)
-        kept = np.delete(values[25:126], 75 - 25)
-        expected = kept.mean() / np.sqrt(np.mean((kept - kept.mean()) ** 2))
-        z, _ = exclusion_zscore(values, 75, 25, 125, mu_over_sigma=True)
-        assert z == pytest.approx(expected, abs=1e-12)
 
     def test_bounds_validation(self):
         with pytest.raises(ValueError):
@@ -201,12 +193,9 @@ class TestDetectSingleEcho:
 
     def test_rahmonic_cancellation_band_edges(self):
         tagged = embed_single_echo(noise_clip(35, seconds=5.0, scale=1.0), EchoKey(75, 0.4))
-        # a band from quefrency 0 peaks at the log level, which has no
-        # rahmonics; the echo hidden by its sigma shows once it is left out
-        plain = zscore_profile(real_cepstrum(tagged), (0, 125))
-        report = detect_single_echo(tagged, band=(0, 125))
-        assert report.argmax_lag == 0
-        assert plain.z_at(75) < 5.0 < report.profile.z_at(75)
+        # quefrency 0 is the log level, not an echo lag
+        with pytest.raises(ValueError, match="lag 1"):
+            detect_single_echo(tagged, band=(0, 125))
         # too few lags outside the peak window to rescore: plain profile
         plain = zscore_profile(real_cepstrum(tagged), (74, 76))
         np.testing.assert_array_equal(detect_single_echo(tagged, band=(74, 76)).profile.z, plain.z)
@@ -263,6 +252,12 @@ class TestDetectSpread:
         z_flip = detect_spread(tagged, complement).z_at_key
         assert z_flip == pytest.approx(-z_true, abs=0.15 * abs(z_true))
 
+    def test_spread_profile_is_detect_spread_profile(self):
+        key = SpreadKey(generate_pattern(1024, 90))
+        tagged = embed_spread(noise_clip(66, seconds=2.0, scale=1.0), key)
+        profile = spread_profile(real_cepstrum(tagged), key.template, key.delta)
+        np.testing.assert_array_equal(profile.z, detect_spread(tagged, key).profile.z)
+
     def test_enhanced_variant_still_detects(self):
         key = SpreadKey(generate_pattern(1024, 95))
         clip = noise_clip(64, seconds=30.0, scale=1.0)
@@ -306,6 +301,6 @@ class TestReportSerialization:
         assert d["clip_id"] == "c1" and d["key_id"] == "k1"
         assert d["argmax_lag"] == 75
         assert len(d["z"]) == 101
-        row = report.to_csv_row()
-        assert set(row) == {"clip_id", "key_id", "duration_seconds",
-                            "argmax_lag", "z_at_key", "degenerate"}
+        row = report.to_dict(include_profile=False)
+        assert "z" not in row
+        assert set(CSV_FIELDS) <= set(row)

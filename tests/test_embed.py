@@ -49,10 +49,6 @@ class TestKernels:
         key = SpreadKey(np.array([1, 0]), alpha=0.01, delta=1)
         assert np.allclose(build_echo_kernel(key), [1.0, 0.01, -0.01])
 
-    def test_spread_kernel_without_direct_path(self):
-        key = SpreadKey(np.array([1, 0]), alpha=0.01, delta=1)
-        assert np.allclose(build_echo_kernel(key, direct_path=False), [0.0, 0.01, -0.01])
-
     def test_kernel_is_impulse_response(self):
         impulse = np.zeros(2000)
         impulse[0] = 1.0

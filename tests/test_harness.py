@@ -9,6 +9,8 @@ from echotag import (
     SpreadKey,
     apply_channel,
     detect_single_echo,
+    detect_spread,
+    embed,
     embed_single_echo,
     generate_pattern,
     roc,
@@ -230,6 +232,13 @@ class TestBitflipCurve:
         key = SpreadKey(generate_pattern(64, 0), delta=8)
         with pytest.raises(ValueError):
             run_bitflip_curve([("a", noise_clip(0, seconds=1.0))], key, flips=[65])
+
+    def test_true_score_is_detect_spread_z(self):
+        # a clip exactly as long as the segment, so the segment is the clip
+        key = SpreadKey(generate_pattern(1024, 91))
+        clip = noise_clip(72, seconds=2.0, scale=1.0)
+        curve = run_bitflip_curve([("c", clip)], key, flips=[0], duration_seconds=2.0)
+        assert curve.true_scores[0] == detect_spread(embed(clip, key), key).z_at_key
 
 
 class TestAttenuationTrend:
