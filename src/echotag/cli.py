@@ -16,9 +16,10 @@ Manifest file (tag-dataset), JSON:
      "entries": [{"input": "drums/*.wav", "key": "echo50", "output_dir": "drums"}]}
 
 Each entry globs `input` under base_input_dir and writes matching files (same
-basename) under base_output_dir/output_dir. Output collisions are rejected
-before anything is written; a lockfile (tag_lock.json) beside the outputs
-records which key tagged which file.
+basename) under base_output_dir/output_dir. Every problem in the manifest and
+its key file, output collisions and existing outputs (unless overwrite) among
+them, is reported at once before anything is written. A lockfile
+(tag_lock.json) beside the outputs records which key tagged which file.
 """
 
 from __future__ import annotations
@@ -36,12 +37,18 @@ from concurrent.futures import ThreadPoolExecutor
 from .audio import DEFAULT_SAMPLE_RATE, load_audio, resample, save_audio
 from .detect import CSV_FIELDS, detect_single_echo, detect_spread
 from .embed import DEFAULT_SINGLE_ECHO_BAND, SpreadKey, embed
-from .evalrun import ConfigError, load_eval_config, run_evaluation
+from .evalrun import load_eval_config, run_evaluation
 from .keyfiles import (
+    BOOLEAN,
+    DIRECTORY,
+    PATH,
+    TEXT,
+    ConfigError,
+    Kind,
     bits_to_hex,
     hex_to_bits,
     load_key_file,
-    read_json_object,
+    read_fields,
     save_pattern_set,
 )
 from .patterns import generate_pattern_set
@@ -51,6 +58,10 @@ log = logging.getLogger(__name__)
 
 MANIFEST_VERSION = 1
 LOCKFILE_NAME = "tag_lock.json"
+AUDIO_FORMATS = ("pcm16", "float32")
+AUDIO_FORMAT = Kind("'pcm16' or 'float32'", lambda v: v in AUDIO_FORMATS)
+ENTRIES = Kind("a list of JSON objects",
+               lambda v: isinstance(v, list) and all(isinstance(e, dict) for e in v))
 
 
 class CommandError(Exception):
@@ -132,13 +143,12 @@ def _pick_key(keys: dict, name):
     raise CommandError(f"key file holds {len(keys)} keys; pick one with --key (available: {sorted(keys)})")
 
 
-def _load_keys(path) -> dict:
-    try:
-        return load_key_file(path)
-    except FileNotFoundError as exc:
-        raise CommandError(f"key file not found: {path}") from exc
-    except (OSError, ValueError, KeyError) as exc:
-        raise CommandError(f"cannot read key file {path}: {exc}") from exc
+def _audio_format(args) -> str:
+    """--format for a command that writes audio: pcm16 or float32 (the default)."""
+    out_format = args.format or "float32"
+    if out_format not in AUDIO_FORMATS:
+        raise CommandError(f"--format must be pcm16 or float32 for {args.command}, got {out_format!r}")
+    return out_format
 
 
 def _canonicalize(clip, target_rate, no_resample):
@@ -179,11 +189,8 @@ def _embed_file(in_path, out_path, key, target_rate, no_resample, out_format):
 
 
 def cmd_embed(args) -> int:
-    keys = _load_keys(args.key_file)
-    key_name, key = _pick_key(keys, args.key)
-    out_format = args.format or "float32"
-    if out_format not in ("pcm16", "float32"):
-        raise CommandError(f"--format must be pcm16 or float32 for embed, got {out_format!r}")
+    key_name, key = _pick_key(load_key_file(args.key_file), args.key)
+    out_format = _audio_format(args)
     try:
         clipped = _embed_file(args.in_path, args.out_path, key,
                               args.sample_rate, args.no_resample, out_format)
@@ -200,58 +207,44 @@ def cmd_embed(args) -> int:
     return 0
 
 
-def _resolve_manifest(path):
-    try:
-        raw = read_json_object(path)
-    except (OSError, ValueError) as exc:
-        raise CommandError(f"cannot read manifest {path}: {exc}") from exc
-    if raw.get("version") != MANIFEST_VERSION:
-        raise CommandError(f"unsupported manifest version {raw.get('version')!r}")
-    base = os.path.dirname(os.path.abspath(path))
-
-    def _resolve(p):
-        return p if os.path.isabs(p) else os.path.join(base, p)
-
-    key_file = raw.get("key_file")
-    if not key_file:
-        raise CommandError("manifest needs a 'key_file'")
-    keys = _load_keys(_resolve(key_file))
-    base_in = _resolve(raw.get("base_input_dir", "."))
-    base_out = _resolve(raw.get("base_output_dir", "."))
-    overwrite = bool(raw.get("overwrite", False))
-    do_resample = bool(raw.get("resample", True))
-    out_format = raw.get("format", "float32")
-    if out_format not in ("pcm16", "float32"):
-        raise CommandError(f"manifest format must be pcm16 or float32, got {out_format!r}")
-    jobs_entries = []
-    seen_outputs = {}
-    for index, entry in enumerate(raw.get("entries", [])):
-        pattern = entry.get("input")
-        key_name = entry.get("key")
-        if not pattern or not key_name:
-            raise CommandError(f"manifest entry {index} needs 'input' and 'key'")
-        if key_name not in keys:
-            raise CommandError(f"manifest entry {index}: key {key_name!r} not in key file")
-        matches = sorted(glob.glob(os.path.join(base_in, pattern)))
-        if not matches:
-            raise CommandError(f"manifest entry {index}: input {pattern!r} matched no files")
-        out_dir = os.path.join(base_out, entry.get("output_dir", ""))
-        for in_path in matches:
-            out_path = os.path.normpath(os.path.join(out_dir, os.path.basename(in_path)))
-            if out_path in seen_outputs:
-                raise CommandError(
-                    f"output collision: {out_path} produced by both "
-                    f"{seen_outputs[out_path]} and {in_path}"
-                )
-            seen_outputs[out_path] = in_path
-            if not overwrite and os.path.exists(out_path):
-                raise CommandError(f"output exists and overwrite is false: {out_path}")
-            jobs_entries.append((in_path, out_path, key_name))
+def load_manifest(path):
+    """Read a tag-dataset manifest and its key file; one ConfigError lists every problem."""
+    with read_fields(path, "manifest", MANIFEST_VERSION) as fields:
+        keys = fields.load_keys("key_file")
+        base_in = fields.path("base_input_dir", DIRECTORY, ".")
+        base_out = fields.path("base_output_dir", DIRECTORY, ".")
+        overwrite = fields.get("overwrite", BOOLEAN, False)
+        do_resample = fields.get("resample", BOOLEAN, True)
+        out_format = fields.get("format", AUDIO_FORMAT, "float32")
+        entries = fields.get("entries", ENTRIES, [])
+        jobs_entries = []
+        seen_outputs = {}
+        for index, raw_entry in enumerate(entries or []):
+            entry = fields.child(raw_entry, f"entry {index}: ")
+            pattern = entry.get("input", PATH)
+            key_name = entry.get("key", TEXT)
+            out_dir = entry.get("output_dir", DIRECTORY, "")
+            if keys is not None and key_name is not None and key_name not in keys:
+                entry.problem(f"key {key_name!r} not in key file")
+            if None in (base_in, base_out, pattern, out_dir):
+                continue
+            matches = sorted(glob.glob(os.path.join(base_in, pattern)))
+            if not matches:
+                entry.problem(f"input {pattern!r} matched no files")
+            for in_path in matches:
+                out_path = os.path.normpath(os.path.join(base_out, out_dir, os.path.basename(in_path)))
+                if out_path in seen_outputs:
+                    entry.problem(f"output collision: {out_path} produced by both "
+                                  f"{seen_outputs[out_path]} and {in_path}")
+                seen_outputs[out_path] = in_path
+                if overwrite is False and os.path.exists(out_path):
+                    entry.problem(f"output exists and overwrite is false: {out_path}")
+                jobs_entries.append((in_path, out_path, key_name))
     return jobs_entries, keys, base_out, do_resample, out_format
 
 
 def cmd_tag_dataset(args) -> int:
-    entries, keys, base_out, do_resample, out_format = _resolve_manifest(args.manifest)
+    entries, keys, base_out, do_resample, out_format = load_manifest(args.manifest)
     os.makedirs(base_out, exist_ok=True)
 
     def _one(entry):
@@ -295,8 +288,7 @@ def cmd_tag_dataset(args) -> int:
 
 
 def cmd_detect(args) -> int:
-    keys = _load_keys(args.key_file)
-    key_name, key = _pick_key(keys, args.key)
+    key_name, key = _pick_key(load_key_file(args.key_file), args.key)
     try:
         clip = load_audio(args.in_path)
     except FileNotFoundError as exc:
@@ -339,12 +331,13 @@ def cmd_payload(args) -> int:
     if args.action == "encode":
         if args.bits is None or args.n_bits is None or args.out_path is None:
             raise CommandError("payload encode needs --bits, --n-bits and --out")
+        out_format = _audio_format(args)
         try:
             bits = hex_to_bits(args.bits, args.n_bits)
             tagged = encode_payload(clip, bits, config)
         except ValueError as exc:
             raise CommandError(str(exc)) from exc
-        save_audio(tagged, args.out_path, format=args.format or "float32")
+        save_audio(tagged, args.out_path, format=out_format)
         print(json.dumps({
             "out": args.out_path,
             "n_bits": args.n_bits,
@@ -362,11 +355,7 @@ def cmd_payload(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
-    try:
-        config = load_eval_config(args.config)
-    except ConfigError as exc:
-        raise CommandError(str(exc)) from exc
-    summary = run_evaluation(config)
+    summary = run_evaluation(load_eval_config(args.config))
     print(json.dumps(summary, sort_keys=True))
     return 0
 
@@ -381,7 +370,7 @@ def main(argv=None) -> int:
     )
     try:
         return args.func(args)
-    except CommandError as exc:
+    except (CommandError, ConfigError) as exc:
         print(f"echotag: error: {exc}", file=sys.stderr)
         return 1
 

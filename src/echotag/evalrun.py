@@ -1,9 +1,9 @@
 """Config-driven evaluation runs: results.csv + summary.json.
 
-The config is JSON; every validation problem is collected and reported at
-once rather than failing on the first. Outputs are deterministic for a given
-config: stable row order, repr-formatted floats, sorted JSON keys, no
-timestamps.
+The config is JSON, read through `keyfiles.read_fields`: every problem in it,
+and in the key file it names, is reported at once in one ConfigError, before
+any output is written. Outputs are deterministic for a given config: stable
+row order, repr-formatted floats, sorted JSON keys, no timestamps.
 
 Config schema (version 1):
     {"version": 1, "seed": 0,
@@ -11,7 +11,7 @@ Config schema (version 1):
      "key_file": "keys.json", "key": "echo75",
      "channel": {"kind": "identity", "seed": 0},
      "durations": [5, 10, 30, 60], "segments_per_clip": 4,
-     "band": [25, 125],                          # single-echo scan, 1 <= a < b
+     "band": [25, 125],                          # single-echo scan, integers 1 <= a < b
      "include_clean": true,                      # also run unembedded rows
      "flips": [0, 128, 256, 384, 512],          # optional, spread keys only
      "bitflip_duration": 30,                     # optional, default 30
@@ -37,7 +37,16 @@ from .harness import (
     run_bitflip_curve,
     run_duration_sweep,
 )
-from .keyfiles import load_key_file, read_json_object
+from .keyfiles import (
+    BOOLEAN,
+    INTEGER,
+    NUMBER,
+    OBJECT,
+    POSITIVE_INTEGER,
+    TEXT,
+    Kind,
+    read_fields,
+)
 
 CONFIG_VERSION = 1
 
@@ -46,13 +55,14 @@ RESULTS_FIELDS = (
     "segment_index", "flips", "argmax_lag", "z_at_key", "degenerate",
 )
 
-
-class ConfigError(ValueError):
-    """Carries every problem found in a config file."""
-
-    def __init__(self, problems):
-        self.problems = list(problems)
-        super().__init__("invalid evaluation config:\n" + "\n".join(f"  - {p}" for p in self.problems))
+SECONDS = Kind("positive seconds", lambda v: NUMBER.ok(v) and v > 0)
+DURATIONS = Kind("a non-empty list of positive seconds",
+                 lambda v: isinstance(v, list) and v != [] and all(SECONDS.ok(d) for d in v))
+BAND = Kind("[a, b] with integers 1 <= a < b",
+            lambda v: (isinstance(v, list) and len(v) == 2 and all(INTEGER.ok(x) for x in v)
+                       and 1 <= v[0] < v[1]))
+FLIPS = Kind("a list of non-negative integers",
+             lambda v: v is None or (isinstance(v, list) and all(INTEGER.ok(k) and k >= 0 for k in v)))
 
 
 @dataclass
@@ -72,80 +82,45 @@ class EvalConfig:
 
 
 def load_eval_config(path) -> EvalConfig:
-    problems = []
-    try:
-        raw = read_json_object(path)
-    except (OSError, ValueError) as exc:
-        raise ConfigError([f"cannot read config {path!r}: {exc}"]) from exc
-    if raw.get("version") != CONFIG_VERSION:
-        problems.append(f"version must be {CONFIG_VERSION}, got {raw.get('version')!r}")
-    for required in ("corpus", "key_file", "key", "output_dir"):
-        if not isinstance(raw.get(required), str) or not raw.get(required):
-            problems.append(f"{required!r} must be a non-empty string")
-    base = os.path.dirname(os.path.abspath(path))
+    """Read an evaluate config and the key file it names; one ConfigError lists every problem."""
+    with read_fields(path, "evaluate config", CONFIG_VERSION) as fields:
+        corpus = fields.path("corpus")
+        keys = fields.load_keys("key_file")
+        key_name = fields.get("key", TEXT)
+        output_dir = fields.path("output_dir")
+        seed = fields.get("seed", INTEGER, 0)
+        channel = fields.get("channel", OBJECT, {})
+        durations = fields.get("durations", DURATIONS, [5.0, 10.0, 30.0, 60.0])
+        segments = fields.get("segments_per_clip", POSITIVE_INTEGER, 4)
+        band = fields.get("band", BAND, list(DEFAULT_SINGLE_ECHO_BAND))
+        include_clean = fields.get("include_clean", BOOLEAN, True)
+        flips = fields.get("flips", FLIPS, None)
+        bitflip_duration = fields.get("bitflip_duration", SECONDS, 30.0)
 
-    def _resolve(p):
-        return p if os.path.isabs(p) else os.path.join(base, p)
-
-    channel = ChannelSpec()
-    if "channel" in raw:
-        try:
-            channel = ChannelSpec.from_dict(raw["channel"])
+        try:  # a channel that is not an object is already a problem; read the default instead
+            channel = ChannelSpec.from_dict(channel or {})
         except (TypeError, ValueError) as exc:
-            problems.append(f"channel: {exc}")
-    durations = raw.get("durations", [5.0, 10.0, 30.0, 60.0])
-    if (not isinstance(durations, list) or not durations
-            or any(not isinstance(d, (int, float)) or d <= 0 for d in durations)):
-        problems.append("'durations' must be a non-empty list of positive seconds")
-    segments = raw.get("segments_per_clip", 4)
-    if not isinstance(segments, int) or segments < 1:
-        problems.append("'segments_per_clip' must be a positive integer")
-    band = tuple(raw.get("band", DEFAULT_SINGLE_ECHO_BAND))
-    if len(band) != 2 or band[0] < 1 or band[0] >= band[1]:
-        problems.append(f"'band' must be [a, b] with 1 <= a < b, got {list(band)}")
-    flips = raw.get("flips")
-    if flips is not None and (not isinstance(flips, list)
-                              or any(not isinstance(k, int) or k < 0 for k in flips)):
-        problems.append("'flips' must be a list of non-negative integers")
-    seed = raw.get("seed", 0)
-    if not isinstance(seed, int):
-        problems.append("'seed' must be an integer")
-    bitflip_duration = raw.get("bitflip_duration", 30.0)
-    if not isinstance(bitflip_duration, (int, float)) or bitflip_duration <= 0:
-        problems.append("'bitflip_duration' must be positive seconds")
-    include_clean = raw.get("include_clean", True)
-    if not isinstance(include_clean, bool):
-        problems.append("'include_clean' must be a boolean")
-
-    keys = None
-    if isinstance(raw.get("key_file"), str) and raw.get("key_file"):
-        try:
-            keys = load_key_file(_resolve(raw["key_file"]))
-        except (OSError, ValueError, KeyError) as exc:
-            problems.append(f"key_file: {exc}")
-    key_name = raw.get("key")
-    key = None
-    if keys is not None and isinstance(key_name, str) and key_name:
-        key = keys.get(key_name)
-        if key is None:
-            problems.append(f"key {key_name!r} not found in key file (has {sorted(keys)})")
-    corpus_paths = []
-    if isinstance(raw.get("corpus"), str) and raw.get("corpus"):
-        corpus_paths = sorted(glob.glob(_resolve(raw["corpus"])))
-        if not corpus_paths:
-            problems.append(f"corpus glob {raw['corpus']!r} matched no files")
-    if flips is not None and key is not None:
-        if not isinstance(key, SpreadKey):
-            problems.append("'flips' requires a spread key")
-        elif any(k > key.length for k in flips):
-            problems.append(f"flip counts must be <= pattern length {key.length}")
-    if problems:
-        raise ConfigError(problems)
+            fields.problem(f"channel: {exc}")
+        key = None
+        if keys is not None and key_name is not None:
+            key = keys.get(key_name)
+            if key is None:
+                fields.problem(f"key {key_name!r} not found in key file (has {sorted(keys)})")
+        corpus_paths = []
+        if corpus is not None:
+            corpus_paths = sorted(glob.glob(corpus))
+            if not corpus_paths:
+                fields.problem(f"corpus glob {corpus!r} matched no files")
+        if flips is not None and key is not None:
+            if not isinstance(key, SpreadKey):
+                fields.problem("'flips' requires a spread key")
+            elif any(k > key.length for k in flips):
+                fields.problem(f"flip counts must be <= pattern length {key.length}")
     return EvalConfig(
         corpus=corpus_paths,
         key_name=key_name,
         key=key,
-        output_dir=_resolve(raw["output_dir"]),
+        output_dir=output_dir,
         seed=seed,
         channel=channel,
         durations=[float(d) for d in durations],

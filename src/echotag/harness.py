@@ -188,14 +188,6 @@ class RocResult:
     n_true: int
     n_false: int
 
-    def to_dict(self) -> dict:
-        return {
-            "auroc": self.auroc,
-            "n_true": self.n_true,
-            "n_false": self.n_false,
-            "points": [[float(a), float(b)] for a, b in self.points],
-        }
-
 
 def roc(true_scores, false_scores) -> RocResult:
     """ROC curve from two score samples; higher scores mean "more positive".

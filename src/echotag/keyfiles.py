@@ -1,4 +1,5 @@
-"""On-disk formats: key files, pattern-set files, bit/hex packing.
+"""On-disk formats: key files, pattern-set files, bit/hex packing, and the one
+reader (`read_fields`) of every version-stamped JSON file echotag reads.
 
 Both formats are human-readable JSON with a version field so forensic
 workflows can audit exactly which keys tagged which outputs. Pattern bits are
@@ -20,6 +21,10 @@ Pattern-set file:
 from __future__ import annotations
 
 import json
+import os
+import reprlib
+from contextlib import contextmanager
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -58,6 +63,99 @@ def read_json_object(path) -> dict:
     return document
 
 
+class ConfigError(ValueError):
+    """Every problem found in one JSON input file, raised once the whole file is checked."""
+
+    def __init__(self, what, path, problems):
+        self.problems = list(problems)
+        lines = "".join(f"\n  - {p}" for p in self.problems)
+        super().__init__(f"invalid {what} {str(path)!r}:{lines}")
+
+
+class Kind(NamedTuple):
+    """What a JSON field must be: in words, for the problem, and as a test of its value."""
+
+    want: str
+    ok: Callable[[object], bool]
+
+
+TEXT = Kind("a non-empty string", lambda v: isinstance(v, str) and v != "")
+DIRECTORY = Kind("a directory path", lambda v: isinstance(v, str) and "\x00" not in v)
+PATH = Kind("a non-empty path", lambda v: DIRECTORY.ok(v) and v != "")
+BOOLEAN = Kind("a boolean", lambda v: isinstance(v, bool))
+INTEGER = Kind("an integer", lambda v: isinstance(v, int))
+POSITIVE_INTEGER = Kind("a positive integer", lambda v: isinstance(v, int) and v >= 1)
+NUMBER = Kind("a number", lambda v: isinstance(v, (int, float)))
+OBJECT = Kind("a JSON object", lambda v: isinstance(v, dict))
+
+_REQUIRED = object()
+
+
+class JsonFields:
+    """Checked reads of one JSON object's fields.
+
+    A field that is missing with no default, or that fails its test, adds a
+    problem (prefixed with `label`) and reads as None.
+    """
+
+    def __init__(self, raw: dict, base: str = "", problems: list | None = None, label: str = ""):
+        self.raw, self.base, self.label = raw, base, label
+        self.problems = [] if problems is None else problems
+
+    def problem(self, message: str) -> None:
+        self.problems.append(self.label + message)
+
+    def get(self, name: str, kind: Kind, default=_REQUIRED):
+        """The field `name` if it passes `kind`'s test, `default` if it is absent, else None."""
+        if name not in self.raw:
+            if default is not _REQUIRED:
+                return default
+            self.problem(f"{name!r} must be {kind.want}, and is missing")
+        elif kind.ok(self.raw[name]):
+            return self.raw[name]
+        else:
+            self.problem(f"{name!r} must be {kind.want}, got {reprlib.repr(self.raw[name])}")
+        return None
+
+    def path(self, name: str, kind: Kind = PATH, default=_REQUIRED):
+        """A path field; a relative path is resolved against the file's directory."""
+        value = self.get(name, kind, default)
+        return None if value is None else os.path.join(self.base, value)
+
+    def child(self, raw: dict, label: str) -> "JsonFields":
+        """A reader of the nested object `raw` that shares this reader's problems."""
+        return JsonFields(raw, self.base, self.problems, self.label + label)
+
+    def load_keys(self, name: str):
+        """The keys of the key file the path field `name` names; its problems become this file's."""
+        path = self.path(name)
+        if path is None:
+            return None
+        try:
+            return load_key_file(path)
+        except ConfigError as exc:
+            self.problems.extend(f"{self.label}{name}: {p}" for p in exc.problems)
+            return None
+
+
+@contextmanager
+def read_fields(path, what: str, version: int):
+    """Yield a JsonFields over the JSON object file `path` (a `what`), version checked.
+
+    A file that cannot be parsed raises ConfigError at once; otherwise, when the
+    block ends, one ConfigError lists every problem the block's reads found.
+    """
+    try:
+        raw = read_json_object(path)
+    except (OSError, ValueError) as exc:
+        raise ConfigError(what, path, [f"cannot read: {exc}"]) from exc
+    fields = JsonFields(raw, os.path.dirname(os.path.abspath(path)))
+    fields.get("version", Kind(repr(version), lambda v: v == version))
+    yield fields
+    if fields.problems:
+        raise ConfigError(what, path, fields.problems)
+
+
 def key_to_dict(key) -> dict:
     if isinstance(key, EchoKey):
         return {"type": "single", "delta": key.delta, "alpha": key.alpha}
@@ -72,17 +170,25 @@ def key_to_dict(key) -> dict:
     raise TypeError(f"expected EchoKey or SpreadKey, got {type(key).__name__}")
 
 
-def key_from_dict(d: dict):
-    kind = d.get("type")
-    if kind == "single":
-        return EchoKey(delta=d["delta"], alpha=d["alpha"])
+def key_from_dict(d):
+    """The EchoKey or SpreadKey a key-file entry describes; one ValueError lists its problems."""
+    if not isinstance(d, dict):
+        raise ValueError(f"must be a JSON object, got {reprlib.repr(d)}")
+    fields = JsonFields(d)
+    kind = fields.get("type", Kind("'single' or 'spread'", lambda v: v in ("single", "spread")))
+    delta = fields.get("delta", NUMBER)
+    alpha = fields.get("alpha", NUMBER)
     if kind == "spread":
-        return SpreadKey(
-            pattern=hex_to_bits(d["bits"], d["length"]),
-            alpha=d["alpha"],
-            delta=d["delta"],
-        )
-    raise ValueError(f"unknown key type {kind!r} (expected 'single' or 'spread')")
+        length = fields.get("length", POSITIVE_INTEGER)
+        bits = fields.get("bits", Kind("a hex string", lambda v: isinstance(v, str)))
+    if not fields.problems:
+        try:
+            if kind == "single":
+                return EchoKey(delta=delta, alpha=alpha)
+            return SpreadKey(pattern=hex_to_bits(bits, length), alpha=alpha, delta=delta)
+        except (ValueError, OverflowError) as exc:  # OverflowError: an infinite delta
+            fields.problem(str(exc))
+    raise ValueError("; ".join(fields.problems))
 
 
 def save_key_file(keys: dict, path) -> None:
@@ -97,13 +203,16 @@ def save_key_file(keys: dict, path) -> None:
 
 
 def load_key_file(path) -> dict:
-    document = read_json_object(path)
-    version = document.get("version")
-    if version != KEY_FILE_VERSION:
-        raise ValueError(f"unsupported key file version {version!r} in {path!r}")
-    if "keys" not in document or not isinstance(document["keys"], dict):
-        raise ValueError(f"key file {path!r} missing a 'keys' mapping")
-    return {name: key_from_dict(d) for name, d in document["keys"].items()}
+    """Named keys from a key file; one ConfigError lists every problem in it."""
+    with read_fields(path, "key file", KEY_FILE_VERSION) as fields:
+        entries = fields.get("keys", Kind("an object of named keys", OBJECT.ok))
+        keys = {}
+        for name, entry in (entries or {}).items():
+            try:
+                keys[name] = key_from_dict(entry)
+            except ValueError as exc:
+                fields.problem(f"key {name!r}: {exc}")
+    return keys
 
 
 def save_pattern_set(ps: PatternSet, path) -> None:
@@ -123,15 +232,19 @@ def save_pattern_set(ps: PatternSet, path) -> None:
 
 
 def load_pattern_set(path) -> PatternSet:
-    document = read_json_object(path)
-    version = document.get("version")
-    if version != PATTERN_FILE_VERSION:
-        raise ValueError(f"unsupported pattern file version {version!r} in {path!r}")
-    length = document["length"]
-    patterns = [hex_to_bits(h, length) for h in document["patterns"]]
-    return PatternSet(
-        patterns=patterns,
-        seed=document["seed"],
-        distance_matrix=np.asarray(document["distance_matrix"], dtype=int),
-        converged=document.get("converged", True),
-    )
+    """Read a pattern-set file; one ConfigError lists every problem in it."""
+    with read_fields(path, "pattern-set file", PATTERN_FILE_VERSION) as fields:
+        length = fields.get("length", POSITIVE_INTEGER)
+        patterns = fields.get("patterns", Kind("a list of hex strings", lambda v: (
+            isinstance(v, list) and all(isinstance(h, str) for h in v))))
+        seed = fields.get("seed", INTEGER)
+        distances = fields.get("distance_matrix", Kind("a matrix of integers", lambda v: isinstance(v, list)))
+        converged = fields.get("converged", BOOLEAN, True)
+        pattern_set = None
+        if not fields.problems:
+            try:  # PatternSet makes an integer array of the distances
+                bits = [hex_to_bits(h, length) for h in patterns]
+                pattern_set = PatternSet(bits, seed, distances, converged)
+            except (TypeError, ValueError, OverflowError) as exc:
+                fields.problem(f"bad pattern bits or distance matrix: {exc}")
+    return pattern_set

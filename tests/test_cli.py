@@ -129,6 +129,17 @@ class TestEmbedDetect:
                        "--key-file", tmp_path / "nope.json") == 1
         assert "key file" in capsys.readouterr().err
 
+    def test_malformed_key_entries_listed(self, tmp_path, carrier_wav, capsys):
+        bad = tmp_path / "bad_keys.json"
+        bad.write_text(json.dumps({"version": 1, "keys": {
+            "k": [1],
+            "pn": {"type": "spread", "alpha": 0.01, "delta": 75, "length": 8, "bits": 5},
+        }}))
+        assert run_cli("detect", "--in", carrier_wav, "--key-file", bad) == 1
+        err = capsys.readouterr().err
+        assert "key 'k': must be a JSON object" in err
+        assert "key 'pn': 'bits' must be a hex string, got 5" in err
+
     def test_band_from_quefrency_zero_rejected(self, keyfile, carrier_wav, capsys):
         assert run_cli("detect", "--in", carrier_wav, "--key-file", keyfile,
                        "--key", "echo75", "--band", 0, 125) == 1
@@ -156,13 +167,13 @@ class TestEmbedDetect:
 
 
 class TestTagDataset:
-    def _write_manifest(self, tmp_path, keyfile, entries, **extra):
+    def _write_manifest(self, tmp_path, keyfile, entries=(), **extra):
         manifest = {
             "version": 1,
             "key_file": str(keyfile),
             "base_input_dir": str(tmp_path / "in"),
             "base_output_dir": str(tmp_path / "out"),
-            "entries": entries,
+            "entries": list(entries),
         }
         manifest.update(extra)
         path = tmp_path / "manifest.json"
@@ -215,6 +226,29 @@ class TestTagDataset:
         assert "collision" in capsys.readouterr().err
         assert not (tmp_path / "out" / "a.wav").exists()
 
+    def test_malformed_manifest_fields_rejected(self, tmp_path, keyfile, capsys):
+        self._make_corpus(tmp_path, ["a.wav"])
+        entry = {"input": "a.wav", "key": "echo50"}
+        for overrides, expected in (
+            ({"entries": [1]}, "'entries' must be a list of JSON objects, got [1]"),
+            ({"entries": [entry], "base_input_dir": 5}, "'base_input_dir' must be a directory path, got 5"),
+            ({"entries": [entry], "resample": "true"}, "'resample' must be a boolean, got 'true'"),
+        ):
+            manifest = self._write_manifest(tmp_path, keyfile, **overrides)
+            assert run_cli("tag-dataset", "--manifest", manifest) == 1
+            assert expected in capsys.readouterr().err
+            assert not (tmp_path / "out").exists()
+
+    def test_overwrite_must_be_a_boolean(self, tmp_path, keyfile, capsys):
+        self._make_corpus(tmp_path, ["a.wav"])
+        entries = [{"input": "a.wav", "key": "echo50"}]
+        assert run_cli("tag-dataset", "--manifest", self._write_manifest(tmp_path, keyfile, entries)) == 0
+        before = (tmp_path / "out" / "a.wav").read_bytes()
+        manifest = self._write_manifest(tmp_path, keyfile, entries, overwrite="false")
+        assert run_cli("tag-dataset", "--manifest", manifest) == 1
+        assert "'overwrite' must be a boolean" in capsys.readouterr().err
+        assert (tmp_path / "out" / "a.wav").read_bytes() == before
+
     def test_empty_manifest_succeeds(self, tmp_path, keyfile, capsys):
         manifest = self._write_manifest(tmp_path, keyfile, [])
         assert run_cli("tag-dataset", "--manifest", manifest) == 0
@@ -255,6 +289,15 @@ class TestPayloadCli:
         assert run_cli("payload", "encode", "--in", carrier, "--out", tmp_path / "o.wav",
                        "--bits", "ff", "--n-bits", 8) == 1
         assert "capacity" in capsys.readouterr().err
+
+    def test_audio_format_checked_before_encoding(self, tmp_path, capsys):
+        carrier = tmp_path / "c.wav"
+        save_audio(noise_clip(302, seconds=1.0, scale=1.0), carrier, format="float32")
+        out = tmp_path / "o.wav"
+        assert run_cli("--format", "csv", "payload", "encode", "--in", carrier, "--out", out,
+                       "--bits", "ff", "--n-bits", 8) == 1
+        assert "--format must be pcm16 or float32" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestEvaluate:
@@ -316,9 +359,23 @@ class TestEvaluate:
         assert not (tmp_path / "r").exists()  # no partial outputs
 
     def test_band_must_start_at_lag_one(self, tmp_path, keyfile, capsys):
-        config = self._config(tmp_path, keyfile, band=[0, 125])
+        for band in ([0, 125], 5, [25.5, 125]):  # not a list, and not integers, fail the same way
+            config = self._config(tmp_path, keyfile, band=band)
+            assert run_cli("evaluate", "--config", config) == 1
+            assert "1 <= a < b" in capsys.readouterr().err
+            assert not (tmp_path / "results").exists()
+
+    def test_malformed_key_entries_listed(self, tmp_path, keyfile, capsys):
+        bad = tmp_path / "bad_keys.json"
+        bad.write_text(json.dumps({"version": 1, "keys": {
+            "echo75": {"type": "single", "delta": "75", "alpha": 0.4},
+            "pn": {"type": "spread", "alpha": 0.01, "delta": 75, "length": 8, "bits": 5},
+        }}))
+        config = self._config(tmp_path, keyfile, key_file=str(bad))
         assert run_cli("evaluate", "--config", config) == 1
-        assert "1 <= a < b" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "key_file: key 'echo75': 'delta' must be a number, got '75'" in err
+        assert "key_file: key 'pn': 'bits' must be a hex string, got 5" in err
         assert not (tmp_path / "results").exists()
 
     def test_empty_key_map_reported(self, tmp_path, keyfile, capsys):

@@ -1,7 +1,10 @@
+import copy
 import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from echotag import (
     EchoKey,
@@ -10,10 +13,14 @@ from echotag import (
     generate_pattern_set,
     load_key_file,
     load_pattern_set,
+    save_audio,
     save_key_file,
     save_pattern_set,
 )
-from echotag.keyfiles import bits_to_hex, hex_to_bits, key_from_dict, key_to_dict
+from echotag.cli import load_manifest
+from echotag.evalrun import load_eval_config
+from echotag.keyfiles import ConfigError, bits_to_hex, hex_to_bits, key_from_dict, key_to_dict
+from helpers import noise_clip
 
 
 class TestHexPacking:
@@ -103,3 +110,77 @@ class TestPatternSetFiles:
         path.write_text(json.dumps({"version": 2, "patterns": []}))
         with pytest.raises(ValueError, match="version"):
             load_pattern_set(path)
+
+
+# Valid documents for the two files a user writes by hand; their paths are
+# relative to the directory that holds all four files.
+MANIFEST = {
+    "version": 1, "key_file": "keys.json", "base_input_dir": ".", "base_output_dir": "out",
+    "overwrite": False, "resample": True, "format": "float32",
+    "entries": [{"input": "*.wav", "key": "echo75", "output_dir": "tagged"}],
+}
+CONFIG = {
+    "version": 1, "seed": 0, "corpus": "*.wav", "key_file": "keys.json", "key": "pn0",
+    "channel": {"kind": "identity", "seed": 0}, "durations": [5.0], "segments_per_clip": 1,
+    "band": [25, 125], "include_clean": True, "flips": [0, 8], "bitflip_duration": 5.0,
+    "output_dir": "results",
+}
+PATTERN_FIELDS = ("version", "count", "length", "seed", "generator", "converged", "patterns",
+                  "distance_matrix")
+# (file, path to the replaced field): every top-level field and every field of an entry
+FIELD_CASES = (
+    [("keys", ("version",)), ("keys", ("keys",)), ("keys", ("keys", "echo75")), ("keys", ("keys", "pn0"))]
+    + [("keys", ("keys", "echo75", f)) for f in ("type", "delta", "alpha")]
+    + [("keys", ("keys", "pn0", f)) for f in ("type", "delta", "alpha", "length", "bits")]
+    + [("patterns", (f,)) for f in PATTERN_FIELDS]
+    + [("manifest", (f,)) for f in MANIFEST]
+    + [("manifest", ("entries", 0, f)) for f in MANIFEST["entries"][0]]
+    + [("config", (f,)) for f in CONFIG]
+)
+# no "/" in strings, so a generated path stays inside the test's directory
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats()
+    | st.text(st.characters(exclude_characters="/"), max_size=8),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=6), inner, max_size=3),
+    max_leaves=8,
+)
+
+
+@pytest.fixture(scope="module")
+def valid_files(tmp_path_factory):
+    """file name -> (loader, directory, valid document) for each JSON input file."""
+    root = tmp_path_factory.mktemp("json-inputs")
+    save_audio(noise_clip(0, seconds=0.1), root / "a.wav", format="float32")
+    save_key_file({"echo75": EchoKey(75, 0.4), "pn0": SpreadKey(generate_pattern(64, 1))},
+                  root / "keys.json")
+    save_pattern_set(generate_pattern_set(3, 64, 1), root / "patterns.json")
+    files = {
+        "keys": (load_key_file, json.loads((root / "keys.json").read_text())),
+        "patterns": (load_pattern_set, json.loads((root / "patterns.json").read_text())),
+        "manifest": (load_manifest, MANIFEST),
+        "config": (load_eval_config, CONFIG),
+    }
+    for name, (loader, document) in files.items():
+        (root / f"{name}-valid.json").write_text(json.dumps(document))
+        loader(root / f"{name}-valid.json")  # each document is valid as written
+    return root, files
+
+
+@pytest.mark.parametrize("name, path", FIELD_CASES, ids=lambda p: p if isinstance(p, str) else ".".join(map(str, p)))
+@settings(max_examples=60, deadline=None)
+@given(value=JSON_VALUES)
+def test_one_bad_field_loads_or_raises_config_error(valid_files, name, path, value):
+    root, files = valid_files
+    loader, document = files[name]
+    document = copy.deepcopy(document)
+    target = document
+    for step in path[:-1]:
+        target = target[step]
+    target[path[-1]] = value
+    mutated = root / f"{name}-mutated.json"
+    mutated.write_text(json.dumps(document))
+    try:
+        loader(mutated)
+    except ConfigError:
+        pass  # any other exception fails the test
