@@ -12,7 +12,6 @@ from .detect import (
     ZScoreProfile,
     detect_single_echo,
     detect_spread,
-    exclusion_zscore,
     zscore_profile,
 )
 from .dsp import convolve, cross_correlate, enhance_correlation, real_cepstrum
@@ -77,7 +76,6 @@ __all__ = [
     "embed_spread",
     "encode_payload",
     "enhance_correlation",
-    "exclusion_zscore",
     "flip_bits",
     "generate_pattern",
     "generate_pattern_set",

@@ -50,6 +50,7 @@ from .keyfiles import (
     load_key_file,
     read_fields,
     save_pattern_set,
+    write_json,
 )
 from .patterns import generate_pattern_set
 from .payload import PayloadConfig, bits_per_second, decode_payload, encode_payload
@@ -259,11 +260,8 @@ def cmd_tag_dataset(args) -> int:
             return {"in": in_path, "out": out_path, "key": key_name,
                     "clipped_samples": 0, "error": str(exc)}
 
-    if args.jobs > 1:
-        with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-            results = list(pool.map(_one, entries))
-    else:
-        results = [_one(e) for e in entries]
+    with ThreadPoolExecutor(max_workers=args.jobs) as pool:
+        results = list(pool.map(_one, entries))
 
     failures = [r for r in results if r["error"]]
     lock = {
@@ -273,9 +271,7 @@ def cmd_tag_dataset(args) -> int:
             for r in results if not r["error"]
         },
     }
-    with open(os.path.join(base_out, LOCKFILE_NAME), "w", encoding="utf-8") as fh:
-        json.dump(lock, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(os.path.join(base_out, LOCKFILE_NAME), lock)
     summary = {
         "files": len(results),
         "succeeded": len(results) - len(failures),
@@ -369,6 +365,10 @@ def main(argv=None) -> int:
         stream=sys.stderr,
     )
     try:
+        if args.seed < 0:
+            raise CommandError(f"--seed must be a non-negative integer, got {args.seed}")
+        if args.jobs < 1:
+            raise CommandError(f"--jobs must be at least 1, got {args.jobs}")
         return args.func(args)
     except (CommandError, ConfigError) as exc:
         print(f"echotag: error: {exc}", file=sys.stderr)

@@ -21,7 +21,6 @@ a second strong echo shows as a rescored lag above the peak.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import NamedTuple
 
 import numpy as np
 
@@ -42,33 +41,6 @@ SPREAD_BAND_START = 3
 SPREAD_EXCLUSION_HALFWIDTH = 3
 
 CSV_FIELDS = ("clip_id", "key_id", "duration_seconds", "argmax_lag", "z_at_key", "degenerate")
-
-
-class ZScore(NamedTuple):
-    z: float
-    degenerate: bool
-
-
-def exclusion_zscore(values, i: int, a: int, b: int, halfwidth: int = 0) -> ZScore:
-    """Exclusion z-score of values[i] against the band [a, b].
-
-    The mean and (population) standard deviation are taken over indices
-    j in [a, b] with |j - i| > halfwidth; halfwidth=0 excludes only i itself.
-    Returns (z, degenerate); degenerate results carry z = 0.0 rather than
-    propagating NaN.
-    """
-    values = np.asarray(values, dtype=np.float64)
-    if not 0 <= a <= i <= b < values.size:
-        raise ValueError(f"need 0 <= a <= i <= b < len(values); got a={a}, i={i}, b={b}")
-    j = np.arange(a, b + 1)
-    kept = values[a : b + 1][np.abs(j - i) > halfwidth]
-    if kept.size < 2:
-        raise ValueError("fewer than 2 samples remain after exclusion")
-    mu = kept.mean()
-    sigma = np.sqrt(np.mean((kept - mu) ** 2))
-    if sigma < SIGMA_FLOOR:
-        return ZScore(0.0, True)
-    return ZScore(float((values[i] - mu) / sigma), False)
 
 
 @dataclass

@@ -6,10 +6,10 @@ any output is written. Outputs are deterministic for a given config: stable
 row order, repr-formatted floats, sorted JSON keys, no timestamps.
 
 Config schema (version 1):
-    {"version": 1, "seed": 0,
+    {"version": 1, "seed": 0,                    # seeds are non-negative integers
      "corpus": "clips/*.wav",
      "key_file": "keys.json", "key": "echo75",
-     "channel": {"kind": "identity", "seed": 0},
+     "channel": {"kind": "identity", "seed": 0}, # fields per kind: harness.CHANNEL_FIELDS
      "durations": [5, 10, 30, 60], "segments_per_clip": 4,
      "band": [25, 125],                          # single-echo scan, integers 1 <= a < b
      "include_clean": true,                      # also run unembedded rows
@@ -22,15 +22,15 @@ from __future__ import annotations
 
 import csv
 import glob
-import json
 import os
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from .audio import load_audio
 from .embed import DEFAULT_SINGLE_ECHO_BAND, SpreadKey
 from .harness import (
+    SEED,
     ChannelSpec,
     key_label,
     median_z_by_duration,
@@ -46,6 +46,7 @@ from .keyfiles import (
     TEXT,
     Kind,
     read_fields,
+    write_json,
 )
 
 CONFIG_VERSION = 1
@@ -71,14 +72,14 @@ class EvalConfig:
     key_name: str
     key: object  # the named EchoKey or SpreadKey, loaded from the key file
     output_dir: str
-    seed: int = 0
-    channel: ChannelSpec = field(default_factory=ChannelSpec)
-    durations: list = field(default_factory=lambda: [5.0, 10.0, 30.0, 60.0])
-    segments_per_clip: int = 4
-    band: tuple = DEFAULT_SINGLE_ECHO_BAND
-    include_clean: bool = True
-    flips: list | None = None
-    bitflip_duration: float = 30.0
+    seed: int
+    channel: ChannelSpec
+    durations: list
+    segments_per_clip: int
+    band: tuple
+    include_clean: bool
+    flips: list | None
+    bitflip_duration: float
 
 
 def load_eval_config(path) -> EvalConfig:
@@ -88,7 +89,7 @@ def load_eval_config(path) -> EvalConfig:
         keys = fields.load_keys("key_file")
         key_name = fields.get("key", TEXT)
         output_dir = fields.path("output_dir")
-        seed = fields.get("seed", INTEGER, 0)
+        seed = fields.get("seed", SEED, 0)
         channel = fields.get("channel", OBJECT, {})
         durations = fields.get("durations", DURATIONS, [5.0, 10.0, 30.0, 60.0])
         segments = fields.get("segments_per_clip", POSITIVE_INTEGER, 4)
@@ -99,7 +100,7 @@ def load_eval_config(path) -> EvalConfig:
 
         try:  # a channel that is not an object is already a problem; read the default instead
             channel = ChannelSpec.from_dict(channel or {})
-        except (TypeError, ValueError) as exc:
+        except ValueError as exc:
             fields.problem(f"channel: {exc}")
         key = None
         if keys is not None and key_name is not None:
@@ -217,8 +218,5 @@ def run_evaluation(config: EvalConfig) -> dict:
         writer.writeheader()
         for row in csv_rows:
             writer.writerow({k: _fmt(v) for k, v in row.items()})
-    summary_path = os.path.join(config.output_dir, "summary.json")
-    with open(summary_path, "w", encoding="utf-8") as fh:
-        json.dump(summary, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(os.path.join(config.output_dir, "summary.json"), summary)
     return summary

@@ -3,13 +3,21 @@
 Generative models are stood in for by parameterized channels (noise, pitch
 shift via resampling, mixing, echo attenuation) so the statistical pipeline
 (z-scores, duration trends, bit-flip ROC curves) runs end to end in seconds.
-All randomness flows from explicit seeds; a config run twice produces
-byte-identical reports.
+CHANNEL_FIELDS is the one table of channel kinds: the fields each kind reads
+and what each field must be. A ChannelSpec is checked against it when built,
+and to_dict writes only the fields its kind reads.
+
+All randomness flows from explicit non-negative seeds; a config run twice
+produces byte-identical reports. The duration sweep and the bit-flip curve
+take every experiment cell (clip x duration x segment), its random segment
+and its noise salt from one generator.
 """
 
 from __future__ import annotations
 
+import itertools
 import logging
+import reprlib
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -18,41 +26,54 @@ from .audio import AudioClip, mix, resample
 from .detect import detect_single_echo, detect_spread, spread_profile
 from .dsp import real_cepstrum
 from .embed import DEFAULT_SINGLE_ECHO_BAND, EchoKey, SpreadKey, embed, scaled_key
+from .keyfiles import INTEGER, NUMBER, JsonFields, Kind
 from .patterns import flip_bits
 
 log = logging.getLogger(__name__)
 
-CHANNEL_KINDS = (
-    "identity",
-    "attenuate_echo",
-    "additive_noise",
-    "resample_factor",
-    "random_resample",
-    "mixture",
-    "composite",
-)
-
 # salt decorrelates the noise drawn by sibling stages / experiment cells
 _SALT_STRIDE = 1000003
+
+SEED = Kind("a non-negative integer", lambda v: INTEGER.ok(v) and v >= 0)
+PITCH_FACTOR = Kind("a number from 0.5 to 2", lambda v: NUMBER.ok(v) and 0.5 <= v <= 2.0)
+# beyond +-100 dB the noise is either nothing or all there is
+SNR_DB = Kind("a number of dB from -100 to 100", lambda v: NUMBER.ok(v) and -100 <= v <= 100)
+
+# kind -> the fields that kind reads -> what each must be; every kind also reads
+# seed, which with the caller's salt seeds the kind's random draws
+CHANNEL_FIELDS = {
+    # no-op
+    "identity": {},
+    # scales the embedding alpha by ratio (a model that reproduces the echo more
+    # weakly); acts on the embedding stage (echo_alpha_scale), samples pass through
+    "attenuate_echo": {"ratio": Kind("a number in (0, 1]", lambda v: NUMBER.ok(v) and 0 < v <= 1)},
+    # white noise at snr_db below the clip RMS
+    "additive_noise": {"snr_db": SNR_DB},
+    # pitch factor f: resample to rate/f and reinterpret at the original rate,
+    # so durations and echo lags scale by 1/f
+    "resample_factor": {"factor": PITCH_FACTOR},
+    # with that probability, a pitch factor drawn uniformly from [low, high]
+    "random_resample": {
+        "probability": Kind("a number from 0 to 1", lambda v: NUMBER.ok(v) and 0 <= v <= 1),
+        "low": PITCH_FACTOR,
+        "high": PITCH_FACTOR,
+    },
+    # interferers clip-length noise clips mixed in at snr_db in total
+    "mixture": {
+        "interferers": Kind("an integer from 1 to 16", lambda v: INTEGER.ok(v) and 1 <= v <= 16),
+        "snr_db": SNR_DB,
+    },
+    # stages applied in order
+    "composite": {"stages": Kind("a list of channels", lambda v: isinstance(v, list))},
+}
+CHANNEL_KIND = Kind(f"one of {', '.join(CHANNEL_FIELDS)}",
+                    lambda v: isinstance(v, str) and v in CHANNEL_FIELDS)
 
 
 @dataclass
 class ChannelSpec:
-    """One simulated degradation.
-
-    kind selects which optional fields apply:
-      identity        - no-op
-      attenuate_echo  - ratio: scales the embedding alpha (a model that
-                        reproduces the echo more weakly); pass-through as a
-                        sample transform, consumed by the embedding stage
-      additive_noise  - snr_db: white noise at that SNR vs the clip RMS
-      resample_factor - factor f (pitch factor): resample to rate/f and
-                        reinterpret at the original rate; lag scales by 1/f
-      random_resample - probability of applying a pitch factor drawn
-                        uniformly from [low, high]
-      mixture         - interferers noise clips mixed in at snr_db total
-      composite       - stages applied in order
-    """
+    """One simulated degradation; CHANNEL_FIELDS says what each kind does and
+    which of these fields it reads. The others are ignored."""
 
     kind: str = "identity"
     ratio: float = 1.0
@@ -66,42 +87,40 @@ class ChannelSpec:
     seed: int = 0
 
     def __post_init__(self):
-        if self.kind not in CHANNEL_KINDS:
-            raise ValueError(f"unknown channel kind {self.kind!r}; expected one of {CHANNEL_KINDS}")
-        if self.kind == "attenuate_echo" and self.ratio <= 0:
-            raise ValueError(f"attenuation ratio must be positive, got {self.ratio}")
-        if self.kind in ("additive_noise", "mixture") and not np.isfinite(self.snr_db):
-            raise ValueError("snr_db must be finite")
-        if self.kind == "resample_factor" and not 0.5 <= self.factor <= 2.0:
-            raise ValueError(f"resample factor must be in [0.5, 2], got {self.factor}")
-        if self.kind == "random_resample":
-            if not 0.0 <= self.probability <= 1.0:
-                raise ValueError(f"probability must be in [0, 1], got {self.probability}")
-            if not 0.5 <= self.low <= self.high <= 2.0:
-                raise ValueError(f"factor range [{self.low}, {self.high}] outside [0.5, 2]")
-        if self.kind == "mixture" and self.interferers < 1:
-            raise ValueError("mixture needs at least one interferer")
-        if self.kind == "composite":
-            self.stages = [s if isinstance(s, ChannelSpec) else ChannelSpec(**s) for s in self.stages]
+        fields = JsonFields(vars(self))
+        kind = fields.get("kind", CHANNEL_KIND)
+        fields.get("seed", SEED)
+        read = {name: fields.get(name, want) for name, want in CHANNEL_FIELDS.get(kind, {}).items()}
+        if None not in (read.get("low"), read.get("high")) and self.low > self.high:
+            fields.problem(f"low {self.low} exceeds high {self.high}")
+        stages = []
+        for index, stage in enumerate(read.get("stages") or []):
+            try:
+                stages.append(stage if isinstance(stage, ChannelSpec) else self.from_dict(stage))
+            except ValueError as exc:
+                fields.problem(f"stage {index}: {exc}")
+        if fields.problems:
+            raise ValueError("; ".join(fields.problems))
+        self.stages = stages
 
     def to_dict(self) -> dict:
         out = {"kind": self.kind, "seed": self.seed}
-        if self.kind == "attenuate_echo":
-            out["ratio"] = self.ratio
-        elif self.kind == "additive_noise":
-            out["snr_db"] = self.snr_db
-        elif self.kind == "resample_factor":
-            out["factor"] = self.factor
-        elif self.kind == "random_resample":
-            out.update(probability=self.probability, low=self.low, high=self.high)
-        elif self.kind == "mixture":
-            out.update(interferers=self.interferers, snr_db=self.snr_db)
-        elif self.kind == "composite":
+        out.update((name, getattr(self, name)) for name in CHANNEL_FIELDS[self.kind])
+        if self.kind == "composite":
             out["stages"] = [s.to_dict() for s in self.stages]
         return out
 
     @classmethod
-    def from_dict(cls, d: dict) -> "ChannelSpec":
+    def from_dict(cls, d) -> "ChannelSpec":
+        """The spec a channel object describes; a field its kind does not read is a ValueError."""
+        if not isinstance(d, dict):
+            raise ValueError(f"must be a JSON object, got {reprlib.repr(d)}")
+        kind = d.get("kind", "identity")
+        if not CHANNEL_KIND.ok(kind):
+            return cls(kind=kind)  # raises the ValueError that names the kind
+        unread = [name for name in d if name not in ("kind", "seed", *CHANNEL_FIELDS[kind])]
+        if unread:
+            raise ValueError(f"kind {kind!r} does not read {', '.join(map(repr, unread))}")
         return cls(**d)
 
 
@@ -132,8 +151,9 @@ def _rms(x: np.ndarray) -> float:
 def apply_channel(clip: AudioClip, spec: ChannelSpec, salt: int = 0) -> AudioClip:
     """Run a clip through a degradation channel.
 
-    salt decorrelates the channel noise between experiment cells that share
-    one spec; identical (clip, spec, salt) triples give identical output.
+    salt, a non-negative integer, decorrelates the channel noise between
+    experiment cells that share one spec; identical (clip, spec, salt)
+    triples give identical output.
     attenuate_echo passes samples through unchanged here - it acts on the
     embedding stage (see echo_alpha_scale), since a weaker echo cannot be
     carved out of an already-watermarked waveform.
@@ -141,7 +161,7 @@ def apply_channel(clip: AudioClip, spec: ChannelSpec, salt: int = 0) -> AudioCli
     kind = spec.kind
     if kind in ("identity", "attenuate_echo"):
         return clip.copy()
-    rng = np.random.default_rng([max(spec.seed, 0), max(salt, 0), 11])
+    rng = np.random.default_rng([spec.seed, salt, 11])
     if kind == "additive_noise":
         target = _rms(clip.samples) * 10.0 ** (-spec.snr_db / 20.0)
         noisy = clip.samples + _noise_at_rms(rng, len(clip), target)
@@ -235,14 +255,26 @@ def key_label(key) -> str:
     return f"spread-d{key.delta}-L{key.length}-a{key.alpha:g}"
 
 
-def _random_segment(clip: AudioClip, duration_seconds: float, rng) -> AudioClip:
-    n = int(round(duration_seconds * clip.sample_rate))
-    if n > len(clip):
-        raise ValueError(
-            f"clip of {clip.duration_seconds:.2f}s shorter than requested {duration_seconds}s segment"
-        )
-    start = int(rng.integers(0, len(clip) - n + 1))
-    return AudioClip(clip.samples[start : start + n], clip.sample_rate)
+def _cells(corpus, durations, segments_per_clip: int, seed: int):
+    """Yield (clip_id, duration, segment_index, salt, segment) for every
+    experiment cell, in (clip, duration, segment) order.
+
+    The segment starts at a random offset drawn from the rng seeded with
+    [seed, clip index, duration index, segment index]; salt is the cell's
+    index in that order.
+    """
+    salt = itertools.count()
+    for clip_index, (clip_id, clip) in enumerate(corpus):
+        for duration_index, duration in enumerate(durations):
+            n = int(round(duration * clip.sample_rate))
+            if n > len(clip):
+                raise ValueError(f"clip of {clip.duration_seconds:.2f}s shorter than "
+                                 f"requested {duration}s segment")
+            for segment_index in range(segments_per_clip):
+                rng = np.random.default_rng([seed, clip_index, duration_index, segment_index])
+                start = int(rng.integers(0, len(clip) - n + 1))
+                segment = AudioClip(clip.samples[start : start + n], clip.sample_rate)
+                yield clip_id, duration, segment_index, next(salt), segment
 
 
 def run_duration_sweep(corpus, key, durations, segments_per_clip: int,
@@ -255,35 +287,30 @@ def run_duration_sweep(corpus, key, durations, segments_per_clip: int,
     first within each cell, ordered by (clip, duration, segment) regardless
     of execution order.
     """
-    corpus = list(corpus)
     effective_key = scaled_key(key, echo_alpha_scale(channel))
     kid = key_label(key)
     rows = []
-    for clip_index, (clip_id, clip) in enumerate(corpus):
-        for duration_index, duration in enumerate(durations):
-            for segment_index in range(segments_per_clip):
-                cell = ((clip_index * len(durations)) + duration_index) * segments_per_clip + segment_index
-                rng = np.random.default_rng([seed, clip_index, duration_index, segment_index])
-                segment = _random_segment(clip, duration, rng)
-                conditions = [("embedded", embed(segment, effective_key))]
-                if include_clean:
-                    conditions.append(("clean", segment))
-                for condition, prepared in conditions:
-                    degraded = apply_channel(prepared, channel, salt=cell)
-                    if isinstance(key, EchoKey):
-                        report = detect_single_echo(degraded, band=band, key_lag=key.delta)
-                    else:
-                        report = detect_spread(degraded, key)
-                    rows.append(SweepRow(
-                        clip_id=clip_id,
-                        condition=condition,
-                        duration_seconds=float(duration),
-                        segment_index=segment_index,
-                        key_id=kid,
-                        argmax_lag=report.argmax_lag,
-                        z_at_key=report.z_at_key,
-                        degenerate=report.profile.degenerate,
-                    ))
+    cells = _cells(corpus, durations, segments_per_clip, seed)
+    for clip_id, duration, segment_index, salt, segment in cells:
+        conditions = [("embedded", embed(segment, effective_key))]
+        if include_clean:
+            conditions.append(("clean", segment))
+        for condition, prepared in conditions:
+            degraded = apply_channel(prepared, channel, salt=salt)
+            if isinstance(key, EchoKey):
+                report = detect_single_echo(degraded, band=band, key_lag=key.delta)
+            else:
+                report = detect_spread(degraded, key)
+            rows.append(SweepRow(
+                clip_id=clip_id,
+                condition=condition,
+                duration_seconds=float(duration),
+                segment_index=segment_index,
+                key_id=kid,
+                argmax_lag=report.argmax_lag,
+                z_at_key=report.z_at_key,
+                degenerate=report.profile.degenerate,
+            ))
     return rows
 
 
@@ -316,7 +343,6 @@ def run_bitflip_curve(corpus, spread_key: SpreadKey, flips, channel: ChannelSpec
     RocResult per k. The clean_roc entry compares the true scores against the
     key's z-scores on unembedded clips instead.
     """
-    corpus = list(corpus)
     if max(flips, default=0) > spread_key.length:
         raise ValueError(f"flip counts must be <= pattern length {spread_key.length}")
     effective_key = scaled_key(spread_key, echo_alpha_scale(channel))
@@ -324,20 +350,16 @@ def run_bitflip_curve(corpus, spread_key: SpreadKey, flips, channel: ChannelSpec
     true_scores = []
     clean_scores = []
     false_scores = {k: [] for k in flips}
-    for clip_index, (clip_id, clip) in enumerate(corpus):
-        for segment_index in range(segments_per_clip):
-            cell = clip_index * segments_per_clip + segment_index
-            rng = np.random.default_rng([seed, clip_index, 0, segment_index])
-            segment = _random_segment(clip, duration_seconds, rng)
-            embedded = apply_channel(embed(segment, effective_key), channel, salt=cell)
-            clean = apply_channel(segment, channel, salt=cell)
-            c_embedded = real_cepstrum(embedded)
-            c_clean = real_cepstrum(clean)
-            true_scores.append(spread_profile(c_embedded, template, delta).z_at(delta))
-            clean_scores.append(spread_profile(c_clean, template, delta).z_at(delta))
-            for k in flips:
-                perturbed = 2.0 * flip_bits(spread_key.pattern, k, seed=[seed, cell, k, 7]) - 1.0
-                false_scores[k].append(spread_profile(c_embedded, perturbed, delta).z_at(delta))
+    for _, _, _, salt, segment in _cells(corpus, [duration_seconds], segments_per_clip, seed):
+        embedded = apply_channel(embed(segment, effective_key), channel, salt=salt)
+        clean = apply_channel(segment, channel, salt=salt)
+        c_embedded = real_cepstrum(embedded)
+        c_clean = real_cepstrum(clean)
+        true_scores.append(spread_profile(c_embedded, template, delta).z_at(delta))
+        clean_scores.append(spread_profile(c_clean, template, delta).z_at(delta))
+        for k in flips:
+            perturbed = 2.0 * flip_bits(spread_key.pattern, k, seed=[seed, salt, k, 7]) - 1.0
+            false_scores[k].append(spread_profile(c_embedded, perturbed, delta).z_at(delta))
     flip_results = [(k, roc(true_scores, false_scores[k])) for k in flips]
     clean_roc = roc(true_scores, clean_scores)
     return BitflipCurve(

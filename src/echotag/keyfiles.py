@@ -54,6 +54,13 @@ def hex_to_bits(hex_string: str, length: int) -> np.ndarray:
     return bits[:length].astype(np.uint8)
 
 
+def write_json(path, document) -> None:
+    """Write `document` as indented JSON with sorted keys and a final newline."""
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(document, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+
+
 def read_json_object(path) -> dict:
     """Parse a JSON file whose top level must be an object; OSError or ValueError otherwise."""
     with open(path, encoding="utf-8") as fh:
@@ -197,9 +204,7 @@ def save_key_file(keys: dict, path) -> None:
         "version": KEY_FILE_VERSION,
         "keys": {name: key_to_dict(key) for name, key in keys.items()},
     }
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(document, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(path, document)
 
 
 def load_key_file(path) -> dict:
@@ -226,9 +231,7 @@ def save_pattern_set(ps: PatternSet, path) -> None:
         "patterns": [bits_to_hex(p) for p in ps.patterns],
         "distance_matrix": ps.distance_matrix.tolist(),
     }
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(document, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(path, document)
 
 
 def load_pattern_set(path) -> PatternSet:

@@ -1,4 +1,6 @@
-"""Shared test utilities: seeded signal factories and a small music synth.
+"""Shared test utilities: seeded signal factories, a small music synth and
+the scalar exclusion z-score that the vectorized zscore_profile is checked
+against.
 
 The synthetic music clips stand in for real corpus material: bass, chords,
 melody and percussion with per-note envelopes, deterministic per seed.
@@ -7,8 +9,31 @@ melody and percussion with per-note envelopes, deterministic per seed.
 import numpy as np
 
 from echotag import AudioClip
+from echotag.detect import SIGMA_FLOOR
 
 SR = 44100
+
+
+def exclusion_zscore(values, i: int, a: int, b: int, halfwidth: int = 0):
+    """Exclusion z-score of values[i] against the band [a, b], one lag at a time.
+
+    The mean and (population) standard deviation are taken over indices
+    j in [a, b] with |j - i| > halfwidth; halfwidth=0 excludes only i itself.
+    Returns (z, degenerate); degenerate results carry z = 0.0 rather than
+    propagating NaN.
+    """
+    values = np.asarray(values, dtype=np.float64)
+    if not 0 <= a <= i <= b < values.size:
+        raise ValueError(f"need 0 <= a <= i <= b < len(values); got a={a}, i={i}, b={b}")
+    j = np.arange(a, b + 1)
+    kept = values[a : b + 1][np.abs(j - i) > halfwidth]
+    if kept.size < 2:
+        raise ValueError("fewer than 2 samples remain after exclusion")
+    mu = kept.mean()
+    sigma = np.sqrt(np.mean((kept - mu) ** 2))
+    if sigma < SIGMA_FLOOR:
+        return 0.0, True
+    return float((values[i] - mu) / sigma), False
 
 
 def noise_clip(seed, seconds=10.0, rate=SR, scale=0.1):

@@ -49,6 +49,12 @@ class TestGenPatterns:
         run_cli("--seed", 2, "gen-patterns", "--count", 4, "--length", 512, "--out", b)
         assert a.read_bytes() == b.read_bytes()
 
+    def test_negative_seed_rejected(self, tmp_path, capsys):
+        out = tmp_path / "ps.json"
+        assert run_cli("--seed", -1, "gen-patterns", "--count", 4, "--out", out) == 1
+        assert "--seed must be a non-negative integer, got -1" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_count_one_rejected(self, tmp_path, capsys):
         out = tmp_path / "ps.json"
         assert run_cli("gen-patterns", "--count", 1, "--out", out) == 1
@@ -216,6 +222,14 @@ class TestTagDataset:
             parallel = (tmp_path / "out" / "parallel" / name).read_bytes()
             assert serial == parallel
 
+    def test_jobs_below_one_rejected(self, tmp_path, keyfile, capsys):
+        self._make_corpus(tmp_path, ["a.wav"])
+        manifest = self._write_manifest(tmp_path, keyfile, [{"input": "a.wav", "key": "echo50"}])
+        for jobs in (0, -2):
+            assert run_cli("--jobs", jobs, "tag-dataset", "--manifest", manifest) == 1
+            assert f"--jobs must be at least 1, got {jobs}" in capsys.readouterr().err
+            assert not (tmp_path / "out").exists()
+
     def test_output_collision_rejected_before_writes(self, tmp_path, keyfile, capsys):
         self._make_corpus(tmp_path, ["a.wav"])
         manifest = self._write_manifest(tmp_path, keyfile, [
@@ -363,6 +377,30 @@ class TestEvaluate:
             config = self._config(tmp_path, keyfile, band=band)
             assert run_cli("evaluate", "--config", config) == 1
             assert "1 <= a < b" in capsys.readouterr().err
+            assert not (tmp_path / "results").exists()
+
+    def test_negative_seed_rejected(self, tmp_path, keyfile, capsys):
+        config = self._config(tmp_path, keyfile, seed=-1)
+        assert run_cli("evaluate", "--config", config) == 1
+        assert "'seed' must be a non-negative integer, got -1" in capsys.readouterr().err
+        assert not (tmp_path / "results").exists()
+
+    def test_malformed_channels_rejected(self, tmp_path, keyfile, capsys):
+        for channel, expected in (
+            ({"kind": "additive_noise", "seed": "x"}, "'seed' must be a non-negative integer, got 'x'"),
+            ({"kind": "additive_noise", "seed": -5}, "'seed' must be a non-negative integer, got -5"),
+            ({"kind": "mixture", "interferers": 2.5}, "'interferers' must be an integer from 1 to 16"),
+            ({"kind": "additive_noise", "factor": 0.9}, "kind 'additive_noise' does not read 'factor'"),
+            ({"kind": "composite", "stages": [{"kind": "mixture", "interferers": "2"}]},
+             "stage 0: 'interferers' must be an integer from 1 to 16, got '2'"),
+            ({"kind": "attenuate_echo", "ratio": 3}, "'ratio' must be a number in (0, 1], got 3"),
+            ({"kind": ["mixture"]}, "'kind' must be one of identity, attenuate_echo"),
+        ):
+            config = self._config(tmp_path, keyfile, channel=channel)
+            assert run_cli("evaluate", "--config", config) == 1
+            err = capsys.readouterr().err
+            assert "invalid evaluate config" in err
+            assert f"channel: {expected}" in err
             assert not (tmp_path / "results").exists()
 
     def test_malformed_key_entries_listed(self, tmp_path, keyfile, capsys):

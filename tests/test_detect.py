@@ -14,7 +14,6 @@ from echotag import (
     detect_spread,
     embed_single_echo,
     embed_spread,
-    exclusion_zscore,
     flip_bits,
     generate_pattern,
     real_cepstrum,
@@ -22,7 +21,7 @@ from echotag import (
 )
 from echotag.detect import CSV_FIELDS, RAHMONIC_CANCEL_Z, spread_profile
 from echotag.harness import apply_channel
-from helpers import SR, noise_clip
+from helpers import SR, exclusion_zscore, noise_clip
 
 
 def two_pass_oracle(values, i, a, b, halfwidth=0):

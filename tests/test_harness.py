@@ -83,6 +83,19 @@ class TestChannelSpec:
         with pytest.raises(ValueError):
             ChannelSpec(kind="resample_factor", factor=2.5)
 
+    def test_every_problem_listed(self):
+        with pytest.raises(ValueError) as info:
+            ChannelSpec.from_dict({"kind": "composite", "seed": -1, "stages": [
+                {"kind": "random_resample", "low": 1.5, "high": 1.0},
+                {"kind": "identity", "snr_db": 10.0},
+                7,
+            ]})
+        message = str(info.value)
+        assert "'seed' must be a non-negative integer, got -1" in message
+        assert "stage 0: low 1.5 exceeds high 1.0" in message
+        assert "stage 1: kind 'identity' does not read 'snr_db'" in message
+        assert "stage 2: must be a JSON object, got 7" in message
+
     def test_dict_round_trip(self):
         spec = ChannelSpec(kind="composite", seed=5, stages=[
             {"kind": "attenuate_echo", "ratio": 0.5},

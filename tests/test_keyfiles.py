@@ -19,6 +19,7 @@ from echotag import (
 )
 from echotag.cli import load_manifest
 from echotag.evalrun import load_eval_config
+from echotag.harness import apply_channel
 from echotag.keyfiles import ConfigError, bits_to_hex, hex_to_bits, key_from_dict, key_to_dict
 from helpers import noise_clip
 
@@ -119,9 +120,19 @@ MANIFEST = {
     "overwrite": False, "resample": True, "format": "float32",
     "entries": [{"input": "*.wav", "key": "echo75", "output_dir": "tagged"}],
 }
+# one stage of each channel kind
+CHANNEL = {"kind": "composite", "seed": 0, "stages": [
+    {"kind": "identity", "seed": 1},
+    {"kind": "attenuate_echo", "seed": 2, "ratio": 0.5},
+    {"kind": "additive_noise", "seed": 3, "snr_db": 20.0},
+    {"kind": "resample_factor", "seed": 4, "factor": 1.1},
+    {"kind": "random_resample", "seed": 5, "probability": 0.5, "low": 0.9, "high": 1.1},
+    {"kind": "mixture", "seed": 6, "interferers": 2, "snr_db": 10.0},
+    {"kind": "composite", "seed": 7, "stages": []},
+]}
 CONFIG = {
     "version": 1, "seed": 0, "corpus": "*.wav", "key_file": "keys.json", "key": "pn0",
-    "channel": {"kind": "identity", "seed": 0}, "durations": [5.0], "segments_per_clip": 1,
+    "channel": CHANNEL, "durations": [5.0], "segments_per_clip": 1,
     "band": [25, 125], "include_clean": True, "flips": [0, 8], "bitflip_duration": 5.0,
     "output_dir": "results",
 }
@@ -136,6 +147,10 @@ FIELD_CASES = (
     + [("manifest", (f,)) for f in MANIFEST]
     + [("manifest", ("entries", 0, f)) for f in MANIFEST["entries"][0]]
     + [("config", (f,)) for f in CONFIG]
+    + [("config", ("channel", f)) for f in CHANNEL]
+    + [("config", ("channel", "stages", i)) for i in range(len(CHANNEL["stages"]))]
+    + [("config", ("channel", "stages", i, f))
+       for i, stage in enumerate(CHANNEL["stages"]) for f in stage]
 )
 # no "/" in strings, so a generated path stays inside the test's directory
 JSON_VALUES = st.recursive(
@@ -181,6 +196,8 @@ def test_one_bad_field_loads_or_raises_config_error(valid_files, name, path, val
     mutated = root / f"{name}-mutated.json"
     mutated.write_text(json.dumps(document))
     try:
-        loader(mutated)
+        loaded = loader(mutated)
     except ConfigError:
-        pass  # any other exception fails the test
+        return  # any other exception fails the test
+    if name == "config":  # a channel that loads also runs
+        apply_channel(noise_clip(0, seconds=0.1), loaded.channel)
