@@ -90,7 +90,10 @@ def load_audio(path) -> AudioClip:
         samples = data.astype(np.float64)
     else:
         raise ValueError(f"unsupported WAV sample format {data.dtype} in {path!r}")
-    return AudioClip(samples, rate)
+    try:
+        return AudioClip(samples, rate)
+    except ValueError as exc:  # non-finite samples or a zero rate
+        raise ValueError(f"{exc} in {path!r}") from exc
 
 
 def save_audio(clip: AudioClip, path, format: str = "float32") -> int:

@@ -5,6 +5,12 @@ Detection always exits 0 when the measurement succeeds; thresholding the
 reported z-scores is a downstream policy decision. No command modifies its
 input files, and every command is deterministic given its arguments.
 
+Commands raise; `main` alone turns a failure (an OSError or ValueError: a bad
+argument, an invalid input file, an output that cannot be written) into exit
+1 and one `echotag: error: <message>` line on stderr, and with -v also logs
+the traceback. tag-dataset records a file that fails and goes on with the
+rest, then exits 1 if any failed.
+
 Manifest file (tag-dataset), JSON:
     {"version": 1,
      "key_file": "keys.json",
@@ -43,7 +49,6 @@ from .keyfiles import (
     DIRECTORY,
     PATH,
     TEXT,
-    ConfigError,
     Kind,
     bits_to_hex,
     hex_to_bits,
@@ -65,8 +70,8 @@ ENTRIES = Kind("a list of JSON objects",
                lambda v: isinstance(v, list) and all(isinstance(e, dict) for e in v))
 
 
-class CommandError(Exception):
-    """Fatal CLI problem; message goes to stderr, exit code 1."""
+class CommandError(ValueError):
+    """A command that cannot go on with its arguments; `main` reports it."""
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -192,13 +197,8 @@ def _embed_file(in_path, out_path, key, target_rate, no_resample, out_format):
 def cmd_embed(args) -> int:
     key_name, key = _pick_key(load_key_file(args.key_file), args.key)
     out_format = _audio_format(args)
-    try:
-        clipped = _embed_file(args.in_path, args.out_path, key,
-                              args.sample_rate, args.no_resample, out_format)
-    except FileNotFoundError as exc:
-        raise CommandError(str(exc)) from exc
-    except ValueError as exc:
-        raise CommandError(f"{args.in_path}: {exc}") from exc
+    clipped = _embed_file(args.in_path, args.out_path, key,
+                          args.sample_rate, args.no_resample, out_format)
     print(json.dumps({
         "in": args.in_path,
         "out": args.out_path,
@@ -285,23 +285,14 @@ def cmd_tag_dataset(args) -> int:
 
 def cmd_detect(args) -> int:
     key_name, key = _pick_key(load_key_file(args.key_file), args.key)
-    try:
-        clip = load_audio(args.in_path)
-    except FileNotFoundError as exc:
-        raise CommandError(str(exc)) from exc
-    except ValueError as exc:
-        raise CommandError(f"{args.in_path}: {exc}") from exc
-    clip = _canonicalize(clip, args.sample_rate, args.no_resample)
+    clip = _canonicalize(load_audio(args.in_path), args.sample_rate, args.no_resample)
     clip_id = os.path.basename(args.in_path)
-    try:
-        if isinstance(key, SpreadKey):
-            report = detect_spread(clip, key, enhanced=args.enhanced,
-                                   clip_id=clip_id, key_id=key_name)
-        else:
-            report = detect_single_echo(clip, band=tuple(args.band), key_lag=key.delta,
-                                        clip_id=clip_id, key_id=key_name)
-    except ValueError as exc:
-        raise CommandError(f"{args.in_path}: {exc}") from exc
+    if isinstance(key, SpreadKey):
+        report = detect_spread(clip, key, enhanced=args.enhanced,
+                               clip_id=clip_id, key_id=key_name)
+    else:
+        report = detect_single_echo(clip, band=tuple(args.band), key_lag=key.delta,
+                                    clip_id=clip_id, key_id=key_name)
     out_format = args.format or "json"
     if out_format == "json":
         print(json.dumps(report.to_dict(include_profile=args.full_profile), sort_keys=True))
@@ -315,24 +306,14 @@ def cmd_detect(args) -> int:
 
 
 def cmd_payload(args) -> int:
-    try:
-        config = PayloadConfig(delta0=args.delta0, delta1=args.delta1,
-                               alpha=args.alpha, window=args.window)
-    except ValueError as exc:
-        raise CommandError(str(exc)) from exc
-    try:
-        clip = load_audio(args.in_path)
-    except (FileNotFoundError, ValueError) as exc:
-        raise CommandError(f"{args.in_path}: {exc}") from exc
+    config = PayloadConfig(delta0=args.delta0, delta1=args.delta1,
+                           alpha=args.alpha, window=args.window)
+    clip = load_audio(args.in_path)
     if args.action == "encode":
         if args.bits is None or args.n_bits is None or args.out_path is None:
             raise CommandError("payload encode needs --bits, --n-bits and --out")
         out_format = _audio_format(args)
-        try:
-            bits = hex_to_bits(args.bits, args.n_bits)
-            tagged = encode_payload(clip, bits, config)
-        except ValueError as exc:
-            raise CommandError(str(exc)) from exc
+        tagged = encode_payload(clip, hex_to_bits(args.bits, args.n_bits), config)
         save_audio(tagged, args.out_path, format=out_format)
         print(json.dumps({
             "out": args.out_path,
@@ -342,10 +323,7 @@ def cmd_payload(args) -> int:
     else:
         if args.n_bits is None:
             raise CommandError("payload decode needs --n-bits")
-        try:
-            bits = decode_payload(clip, config, args.n_bits)
-        except ValueError as exc:
-            raise CommandError(str(exc)) from exc
+        bits = decode_payload(clip, config, args.n_bits)
         print(json.dumps({"n_bits": args.n_bits, "bits": bits_to_hex(bits)}, sort_keys=True))
     return 0
 
@@ -370,7 +348,8 @@ def main(argv=None) -> int:
         if args.jobs < 1:
             raise CommandError(f"--jobs must be at least 1, got {args.jobs}")
         return args.func(args)
-    except (CommandError, ConfigError) as exc:
+    except (OSError, ValueError) as exc:  # CommandError and ConfigError are ValueErrors
+        log.debug("%s failed", args.command, exc_info=True)
         print(f"echotag: error: {exc}", file=sys.stderr)
         return 1
 

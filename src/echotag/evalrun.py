@@ -1,9 +1,11 @@
 """Config-driven evaluation runs: results.csv + summary.json.
 
 The config is JSON, read through `keyfiles.read_fields`: every problem in it,
-and in the key file it names, is reported at once in one ConfigError, before
-any output is written. Outputs are deterministic for a given config: stable
-row order, repr-formatted floats, sorted JSON keys, no timestamps.
+in the key file it names and in the corpus clips it matches (a clip that
+cannot be read, or is shorter than a segment), is reported at once in one
+ConfigError, before any output is written. Outputs are deterministic for a
+given config: stable row order, repr-formatted floats, sorted JSON keys, no
+timestamps.
 
 Config schema (version 1):
     {"version": 1, "seed": 0,                    # seeds are non-negative integers
@@ -68,7 +70,7 @@ FLIPS = Kind("a list of non-negative integers",
 
 @dataclass
 class EvalConfig:
-    corpus: list  # sorted clip paths the config's glob matched
+    corpus: list  # (clip_id, AudioClip) per file the config's glob matched, sorted by path
     key_name: str
     key: object  # the named EchoKey or SpreadKey, loaded from the key file
     output_dir: str
@@ -112,13 +114,27 @@ def load_eval_config(path) -> EvalConfig:
             corpus_paths = sorted(glob.glob(corpus))
             if not corpus_paths:
                 fields.problem(f"corpus glob {corpus!r} matched no files")
+        longest = max(durations or [0])
+        if flips is not None:
+            longest = max(longest, bitflip_duration or 0)
+        clips = []
+        for clip_path in corpus_paths:
+            try:
+                clip = load_audio(clip_path)
+            except (OSError, ValueError) as exc:
+                fields.problem(f"corpus: {exc}")  # load_audio's message names the file
+                continue
+            if clip.duration_seconds < longest:
+                fields.problem(f"corpus clip {clip_path!r} lasts {clip.duration_seconds:.2f}s, "
+                               f"shorter than the {longest}s segments it must hold")
+            clips.append((os.path.basename(clip_path), clip))
         if flips is not None and key is not None:
             if not isinstance(key, SpreadKey):
                 fields.problem("'flips' requires a spread key")
             elif any(k > key.length for k in flips):
                 fields.problem(f"flip counts must be <= pattern length {key.length}")
     return EvalConfig(
-        corpus=corpus_paths,
+        corpus=clips,
         key_name=key_name,
         key=key,
         output_dir=output_dir,
@@ -149,10 +165,8 @@ def run_evaluation(config: EvalConfig) -> dict:
     Returns the summary dict.
     """
     key = config.key
-    corpus = [(os.path.basename(p), load_audio(p)) for p in config.corpus]
-
     rows = run_duration_sweep(
-        corpus, key,
+        config.corpus, key,
         durations=config.durations,
         segments_per_clip=config.segments_per_clip,
         channel=config.channel,
@@ -184,7 +198,7 @@ def run_evaluation(config: EvalConfig) -> dict:
 
     if config.flips is not None and isinstance(key, SpreadKey):
         curve = run_bitflip_curve(
-            corpus, key,
+            config.corpus, key,
             flips=config.flips,
             channel=config.channel,
             duration_seconds=config.bitflip_duration,

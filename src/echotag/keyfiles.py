@@ -90,9 +90,10 @@ TEXT = Kind("a non-empty string", lambda v: isinstance(v, str) and v != "")
 DIRECTORY = Kind("a directory path", lambda v: isinstance(v, str) and "\x00" not in v)
 PATH = Kind("a non-empty path", lambda v: DIRECTORY.ok(v) and v != "")
 BOOLEAN = Kind("a boolean", lambda v: isinstance(v, bool))
-INTEGER = Kind("an integer", lambda v: isinstance(v, int))
-POSITIVE_INTEGER = Kind("a positive integer", lambda v: isinstance(v, int) and v >= 1)
-NUMBER = Kind("a number", lambda v: isinstance(v, (int, float)))
+# JSON true and false load as bool, which Python counts as an int: not a number here
+INTEGER = Kind("an integer", lambda v: isinstance(v, int) and not isinstance(v, bool))
+POSITIVE_INTEGER = Kind("a positive integer", lambda v: INTEGER.ok(v) and v >= 1)
+NUMBER = Kind("a number", lambda v: isinstance(v, (int, float)) and not isinstance(v, bool))
 OBJECT = Kind("a JSON object", lambda v: isinstance(v, dict))
 
 _REQUIRED = object()
@@ -157,7 +158,7 @@ def read_fields(path, what: str, version: int):
     except (OSError, ValueError) as exc:
         raise ConfigError(what, path, [f"cannot read: {exc}"]) from exc
     fields = JsonFields(raw, os.path.dirname(os.path.abspath(path)))
-    fields.get("version", Kind(repr(version), lambda v: v == version))
+    fields.get("version", Kind(repr(version), lambda v: INTEGER.ok(v) and v == version))
     yield fields
     if fields.problems:
         raise ConfigError(what, path, fields.problems)

@@ -48,6 +48,12 @@ class TestLoadSave:
         with pytest.raises(ValueError, match="zero-length"):
             load_audio(path)
 
+    def test_non_finite_samples_rejected_with_path(self, tmp_path):
+        path = tmp_path / "nan.wav"
+        scipy.io.wavfile.write(path, SR, np.array([0.0, np.nan], dtype=np.float32))
+        with pytest.raises(ValueError, match=r"finite .* in .*nan\.wav"):
+            load_audio(path)
+
     def test_pcm16_full_scale_negative(self, tmp_path):
         path = tmp_path / "fs.wav"
         scipy.io.wavfile.write(path, SR, np.array([-32768, 32767, 0], np.int16))

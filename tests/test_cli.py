@@ -1,9 +1,12 @@
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import echotag
 from echotag import EchoKey, SpreadKey, generate_pattern, load_audio, save_audio, save_key_file
 from echotag.cli import main
 from echotag.keyfiles import bits_to_hex, load_pattern_set
@@ -150,6 +153,14 @@ class TestEmbedDetect:
         assert run_cli("detect", "--in", carrier_wav, "--key-file", keyfile,
                        "--key", "echo75", "--band", 0, 125) == 1
         assert "lag 1" in capsys.readouterr().err
+
+    def test_non_wav_input_named_once(self, tmp_path, keyfile, capsys):
+        bad = tmp_path / "bad.wav"
+        bad.write_text("not audio")
+        assert run_cli("detect", "--in", bad, "--key-file", keyfile, "--key", "echo75") == 1
+        err = capsys.readouterr().err
+        assert "unsupported or compressed WAV file" in err
+        assert err.count(str(bad)) == 1
 
     def test_clean_file_detection_still_exits_zero(self, keyfile, carrier_wav, capsys):
         # detection is a measurement, not a pass/fail gate
@@ -314,30 +325,32 @@ class TestPayloadCli:
         assert not out.exists()
 
 
-class TestEvaluate:
-    def _config(self, tmp_path, keyfile, **overrides):
-        corpus_dir = tmp_path / "corpus"
-        os.makedirs(corpus_dir, exist_ok=True)
-        save_audio(noise_clip(400, seconds=6.0, scale=1.0), corpus_dir / "c0.wav",
-                   format="float32")
-        config = {
-            "version": 1,
-            "seed": 0,
-            "corpus": str(corpus_dir / "*.wav"),
-            "key_file": str(keyfile),
-            "key": "echo75",
-            "durations": [5.0],
-            "segments_per_clip": 1,
-            "include_clean": False,
-            "output_dir": str(tmp_path / "results"),
-        }
-        config.update(overrides)
-        path = tmp_path / "config.json"
-        path.write_text(json.dumps(config))
-        return path
+def eval_config(tmp_path, keyfile, **overrides):
+    """An evaluate config over one 6 s clip, with `overrides` applied; its path."""
+    corpus_dir = tmp_path / "corpus"
+    os.makedirs(corpus_dir, exist_ok=True)
+    save_audio(noise_clip(400, seconds=6.0, scale=1.0), corpus_dir / "c0.wav",
+               format="float32")
+    config = {
+        "version": 1,
+        "seed": 0,
+        "corpus": str(corpus_dir / "*.wav"),
+        "key_file": str(keyfile),
+        "key": "echo75",
+        "durations": [5.0],
+        "segments_per_clip": 1,
+        "include_clean": False,
+        "output_dir": str(tmp_path / "results"),
+    }
+    config.update(overrides)
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    return path
 
+
+class TestEvaluate:
     def test_minimal_config_single_row(self, tmp_path, keyfile, capsys):
-        config = self._config(tmp_path, keyfile)
+        config = eval_config(tmp_path, keyfile)
         assert run_cli("evaluate", "--config", config) == 0
         lines = (tmp_path / "results" / "results.csv").read_text().strip().splitlines()
         assert len(lines) == 2  # header + exactly one cell
@@ -345,9 +358,9 @@ class TestEvaluate:
         assert summary["duration_sweep"]["median_z_embedded"]["5.0"] > 5.0
 
     def test_outputs_deterministic(self, tmp_path, keyfile, capsys):
-        config_a = self._config(tmp_path, keyfile, output_dir=str(tmp_path / "ra"))
+        config_a = eval_config(tmp_path, keyfile, output_dir=str(tmp_path / "ra"))
         run_cli("evaluate", "--config", config_a)
-        config_b = self._config(tmp_path, keyfile, output_dir=str(tmp_path / "rb"))
+        config_b = eval_config(tmp_path, keyfile, output_dir=str(tmp_path / "rb"))
         run_cli("evaluate", "--config", config_b)
         assert (tmp_path / "ra" / "results.csv").read_bytes() == \
                (tmp_path / "rb" / "results.csv").read_bytes()
@@ -374,13 +387,13 @@ class TestEvaluate:
 
     def test_band_must_start_at_lag_one(self, tmp_path, keyfile, capsys):
         for band in ([0, 125], 5, [25.5, 125]):  # not a list, and not integers, fail the same way
-            config = self._config(tmp_path, keyfile, band=band)
+            config = eval_config(tmp_path, keyfile, band=band)
             assert run_cli("evaluate", "--config", config) == 1
             assert "1 <= a < b" in capsys.readouterr().err
             assert not (tmp_path / "results").exists()
 
     def test_negative_seed_rejected(self, tmp_path, keyfile, capsys):
-        config = self._config(tmp_path, keyfile, seed=-1)
+        config = eval_config(tmp_path, keyfile, seed=-1)
         assert run_cli("evaluate", "--config", config) == 1
         assert "'seed' must be a non-negative integer, got -1" in capsys.readouterr().err
         assert not (tmp_path / "results").exists()
@@ -396,7 +409,7 @@ class TestEvaluate:
             ({"kind": "attenuate_echo", "ratio": 3}, "'ratio' must be a number in (0, 1], got 3"),
             ({"kind": ["mixture"]}, "'kind' must be one of identity, attenuate_echo"),
         ):
-            config = self._config(tmp_path, keyfile, channel=channel)
+            config = eval_config(tmp_path, keyfile, channel=channel)
             assert run_cli("evaluate", "--config", config) == 1
             err = capsys.readouterr().err
             assert "invalid evaluate config" in err
@@ -409,7 +422,7 @@ class TestEvaluate:
             "echo75": {"type": "single", "delta": "75", "alpha": 0.4},
             "pn": {"type": "spread", "alpha": 0.01, "delta": 75, "length": 8, "bits": 5},
         }}))
-        config = self._config(tmp_path, keyfile, key_file=str(bad))
+        config = eval_config(tmp_path, keyfile, key_file=str(bad))
         assert run_cli("evaluate", "--config", config) == 1
         err = capsys.readouterr().err
         assert "key_file: key 'echo75': 'delta' must be a number, got '75'" in err
@@ -419,16 +432,36 @@ class TestEvaluate:
     def test_empty_key_map_reported(self, tmp_path, keyfile, capsys):
         empty = tmp_path / "empty_keys.json"
         empty.write_text(json.dumps({"version": 1, "keys": {}}))
-        config = self._config(tmp_path, keyfile, key_file=str(empty))
+        config = eval_config(tmp_path, keyfile, key_file=str(empty))
         assert run_cli("evaluate", "--config", config) == 1
         assert "key 'echo75' not found in key file" in capsys.readouterr().err
+
+    def test_clip_shorter_than_a_segment_rejected(self, tmp_path, keyfile, capsys):
+        short = tmp_path / "short"
+        os.makedirs(short)
+        save_audio(noise_clip(402, seconds=2.0, scale=1.0), short / "c.wav", format="float32")
+        config = eval_config(tmp_path, keyfile, corpus=str(short / "*.wav"), durations=[5])
+        assert run_cli("evaluate", "--config", config) == 1
+        err = capsys.readouterr().err
+        assert f"corpus clip {str(short / 'c.wav')!r} lasts 2.00s, shorter than the 5s" in err
+        assert not (tmp_path / "results").exists()
+
+    def test_corpus_file_that_is_not_audio_rejected(self, tmp_path, keyfile, capsys):
+        text = tmp_path / "text"
+        os.makedirs(text)
+        (text / "c.wav").write_text("not audio")
+        config = eval_config(tmp_path, keyfile, corpus=str(text / "*.wav"))
+        assert run_cli("evaluate", "--config", config) == 1
+        err = capsys.readouterr().err
+        assert "invalid evaluate config" in err and err.count(str(text / "c.wav")) == 1
+        assert not (tmp_path / "results").exists()
 
     def test_spread_key_with_flips(self, tmp_path, keyfile, capsys):
         corpus_dir = tmp_path / "corpus"
         os.makedirs(corpus_dir, exist_ok=True)
         save_audio(noise_clip(401, seconds=6.0, scale=1.0), corpus_dir / "c0.wav",
                    format="float32")
-        config = self._config(
+        config = eval_config(
             tmp_path, keyfile,
             key="pn0", flips=[0, 512], bitflip_duration=5.0, durations=[5.0],
         )
@@ -449,3 +482,40 @@ def test_json_file_that_is_not_an_object_fails_cleanly(tmp_path, capsys, argv):
     path.write_text("[1, 2]")
     assert run_cli(*argv, path) == 1  # an error message, not an uncaught exception
     assert "must hold a JSON object" in capsys.readouterr().err
+
+
+# argv of a command whose output cannot be written, from (tmp_path, keyfile, carrier_wav)
+UNWRITABLE_OUTPUTS = {
+    "evaluate-output-dir-under-a-file": lambda tmp, keyfile, wav: [
+        "evaluate", "--config",
+        eval_config(tmp, keyfile, output_dir=str(tmp / "carrier.wav" / "results"))],
+    "gen-patterns-into-missing-dir": lambda tmp, keyfile, wav: [
+        "gen-patterns", "--count", 4, "--length", 512, "--out", tmp / "missing" / "ps.json"],
+    "payload-encode-into-missing-dir": lambda tmp, keyfile, wav: [
+        "payload", "encode", "--in", wav, "--out", tmp / "missing" / "o.wav",
+        "--bits", "ff", "--n-bits", 8],
+}
+
+
+@pytest.mark.parametrize("case", sorted(UNWRITABLE_OUTPUTS))
+def test_unwritable_output_fails_with_one_message(tmp_path, keyfile, carrier_wav, capsys, case):
+    assert run_cli(*UNWRITABLE_OUTPUTS[case](tmp_path, keyfile, carrier_wav)) == 1
+    err = capsys.readouterr().err
+    assert err.count("echotag: error:") == 1
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("verbose", [False, True])
+def test_verbose_logs_the_traceback(tmp_path, keyfile, verbose):
+    # a fresh interpreter, so that -v configures logging as it does for a user
+    src = os.path.dirname(os.path.dirname(echotag.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    missing = tmp_path / "missing.wav"
+    argv = [sys.executable, "-m", "echotag.cli", *(["-v"] if verbose else []),
+            "detect", "--in", str(missing), "--key-file", str(keyfile), "--key", "echo75"]
+    proc = subprocess.run(argv, capture_output=True, text=True, env=env, timeout=300)
+    assert proc.returncode == 1
+    lines = proc.stderr.splitlines()
+    assert [line for line in lines if line.startswith("echotag: error:")] == [lines[-1]]
+    assert str(missing) in lines[-1]
+    assert ("Traceback" in proc.stderr) == verbose

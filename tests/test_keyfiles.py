@@ -132,8 +132,8 @@ CHANNEL = {"kind": "composite", "seed": 0, "stages": [
 ]}
 CONFIG = {
     "version": 1, "seed": 0, "corpus": "*.wav", "key_file": "keys.json", "key": "pn0",
-    "channel": CHANNEL, "durations": [5.0], "segments_per_clip": 1,
-    "band": [25, 125], "include_clean": True, "flips": [0, 8], "bitflip_duration": 5.0,
+    "channel": CHANNEL, "durations": [0.05], "segments_per_clip": 1,
+    "band": [25, 125], "include_clean": True, "flips": [0, 8], "bitflip_duration": 0.05,
     "output_dir": "results",
 }
 PATTERN_FIELDS = ("version", "count", "length", "seed", "generator", "converged", "patterns",
@@ -182,22 +182,51 @@ def valid_files(tmp_path_factory):
     return root, files
 
 
-@pytest.mark.parametrize("name, path", FIELD_CASES, ids=lambda p: p if isinstance(p, str) else ".".join(map(str, p)))
+def _case_id(p):
+    return p if isinstance(p, str) else ".".join(map(str, p))
+
+
+def _write_mutated(root, name, document, path, value):
+    """Write `document` with the field at `path` set to `value`; return the
+    file's path and the field's valid value."""
+    document = copy.deepcopy(document)
+    target = document
+    for step in path[:-1]:
+        target = target[step]
+    valid, target[path[-1]] = target[path[-1]], value
+    mutated = root / f"{name}-mutated.json"
+    mutated.write_text(json.dumps(document))
+    return mutated, valid
+
+
+@pytest.mark.parametrize("name, path", FIELD_CASES, ids=_case_id)
 @settings(max_examples=60, deadline=None)
 @given(value=JSON_VALUES)
 def test_one_bad_field_loads_or_raises_config_error(valid_files, name, path, value):
     root, files = valid_files
     loader, document = files[name]
-    document = copy.deepcopy(document)
-    target = document
-    for step in path[:-1]:
-        target = target[step]
-    target[path[-1]] = value
-    mutated = root / f"{name}-mutated.json"
-    mutated.write_text(json.dumps(document))
+    mutated, _ = _write_mutated(root, name, document, path, value)
     try:
         loaded = loader(mutated)
     except ConfigError:
         return  # any other exception fails the test
     if name == "config":  # a channel that loads also runs
         apply_channel(noise_clip(0, seconds=0.1), loaded.channel)
+
+
+# the pattern-set loader does not read these two header fields
+UNREAD_FIELDS = (("patterns", ("count",)), ("patterns", ("generator",)))
+
+
+@pytest.mark.parametrize("name, path", [c for c in FIELD_CASES if c not in UNREAD_FIELDS],
+                         ids=_case_id)
+def test_true_loads_only_where_a_boolean_is_valid(valid_files, name, path):
+    # JSON true is a Python int: a numeric field must still reject it
+    root, files = valid_files
+    loader, document = files[name]
+    mutated, valid = _write_mutated(root, name, document, path, True)
+    if isinstance(valid, bool):
+        loader(mutated)
+    else:
+        with pytest.raises(ConfigError):
+            loader(mutated)
