@@ -312,6 +312,9 @@ def cmd_payload(args) -> int:
     if args.action == "encode":
         if args.bits is None or args.n_bits is None or args.out_path is None:
             raise CommandError("payload encode needs --bits, --n-bits and --out")
+        out_dir = os.path.dirname(args.out_path) or "."
+        if not os.path.isdir(out_dir):  # checked before the encode, the slow part
+            raise CommandError(f"--out directory {out_dir!r} does not exist")
         out_format = _audio_format(args)
         tagged = encode_payload(clip, hex_to_bits(args.bits, args.n_bits), config)
         save_audio(tagged, args.out_path, format=out_format)

@@ -195,8 +195,11 @@ def spread_profile(cepstrum: np.ndarray, template: np.ndarray, delta: int,
     both score through it, on cepstra they compute once. The band is
     [3, L + delta] with a +-3 exclusion window, clamped to the available
     correlation lags; enhanced sharpens the correlation before scoring.
+    Only lags 0..L + delta + 1 are correlated (the band plus the lag just
+    past its end, which enhancement subtracts at the band's last lag), so
+    only the 2L + delta + 1 cepstrum samples those lags read are passed on.
     """
-    cstar = cross_correlate(cepstrum, template)
+    cstar = cross_correlate(cepstrum[: 2 * len(template) + delta + 1], template)
     source = "spread_correlation"
     if enhanced:
         cstar = enhance_correlation(cstar)

@@ -162,8 +162,11 @@ def _fmt(value):
 def run_evaluation(config: EvalConfig) -> dict:
     """Execute the configured experiments; write results.csv and summary.json.
 
-    Returns the summary dict.
+    output_dir is made before any experiment runs, so an output that cannot
+    be written fails before the work rather than after it. Returns the
+    summary dict.
     """
+    os.makedirs(config.output_dir, exist_ok=True)
     key = config.key
     rows = run_duration_sweep(
         config.corpus, key,
@@ -225,7 +228,6 @@ def run_evaluation(config: EvalConfig) -> dict:
             "clean_auroc": curve.clean_roc.auroc,
         }
 
-    os.makedirs(config.output_dir, exist_ok=True)
     results_path = os.path.join(config.output_dir, "results.csv")
     with open(results_path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.DictWriter(fh, fieldnames=RESULTS_FIELDS)

@@ -497,8 +497,22 @@ UNWRITABLE_OUTPUTS = {
 }
 
 
+# the work a case's command must not start before it finds its output unwritable
+WORK_BEFORE_OUTPUT = {
+    "evaluate-output-dir-under-a-file": "echotag.evalrun.run_duration_sweep",
+    "payload-encode-into-missing-dir": "echotag.cli.encode_payload",
+}
+
+
+def _work_that_must_not_run(*args, **kwargs):
+    raise AssertionError("the command did its work before checking its output")
+
+
 @pytest.mark.parametrize("case", sorted(UNWRITABLE_OUTPUTS))
-def test_unwritable_output_fails_with_one_message(tmp_path, keyfile, carrier_wav, capsys, case):
+def test_unwritable_output_fails_with_one_message(tmp_path, keyfile, carrier_wav, capsys,
+                                                  monkeypatch, case):
+    if case in WORK_BEFORE_OUTPUT:
+        monkeypatch.setattr(WORK_BEFORE_OUTPUT[case], _work_that_must_not_run)
     assert run_cli(*UNWRITABLE_OUTPUTS[case](tmp_path, keyfile, carrier_wav)) == 1
     err = capsys.readouterr().err
     assert err.count("echotag: error:") == 1

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.signal
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -13,13 +14,20 @@ from echotag import (
     detect_single_echo,
     detect_spread,
     embed_single_echo,
+    enhance_correlation,
     embed_spread,
     flip_bits,
     generate_pattern,
     real_cepstrum,
     zscore_profile,
 )
-from echotag.detect import CSV_FIELDS, RAHMONIC_CANCEL_Z, spread_profile
+from echotag.detect import (
+    CSV_FIELDS,
+    RAHMONIC_CANCEL_Z,
+    SPREAD_BAND_START,
+    SPREAD_EXCLUSION_HALFWIDTH,
+    spread_profile,
+)
 from echotag.harness import apply_channel
 from helpers import SR, exclusion_zscore, noise_clip
 
@@ -256,6 +264,28 @@ class TestDetectSpread:
         tagged = embed_spread(noise_clip(66, seconds=2.0, scale=1.0), key)
         profile = spread_profile(real_cepstrum(tagged), key.template, key.delta)
         np.testing.assert_array_equal(profile.z, detect_spread(tagged, key).profile.z)
+
+    # N - L + 1 past L + delta + 2 (only the scored lags correlated), equal to it, and
+    # below it (band clamped): every lag of the full correlation is computed
+    @pytest.mark.parametrize("enhanced", [False, True])
+    @pytest.mark.parametrize("n", [10 * SR, 2 * 1024 + 75 + 1, 1500])
+    def test_spread_profile_matches_full_correlation(self, n, enhanced):
+        key = SpreadKey(generate_pattern(1024, 91))
+        tagged = embed_spread(noise_clip(67, seconds=10.0, scale=1.0), key)
+        c = real_cepstrum(AudioClip(tagged.samples[:n], SR))
+        profile = spread_profile(c, key.template, key.delta, enhanced)
+        # the scorer's reference: the same band scored on the full "valid" correlation
+        cstar = scipy.signal.correlate(c, key.template, mode="valid")
+        if enhanced:
+            cstar = enhance_correlation(cstar)
+        band = (SPREAD_BAND_START, min(1024 + 75, cstar.size - 1))
+        reference = zscore_profile(cstar, band, halfwidth=SPREAD_EXCLUSION_HALFWIDTH)
+        assert profile.band == band
+        assert profile.degenerate == reference.degenerate
+        if cstar.size <= 1024 + 75 + 2:
+            np.testing.assert_array_equal(profile.z, reference.z)
+        else:
+            assert np.max(np.abs(profile.z - reference.z)) <= 1e-12 * np.max(np.abs(reference.z))
 
     def test_enhanced_variant_still_detects(self):
         key = SpreadKey(generate_pattern(1024, 95))

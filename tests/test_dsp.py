@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.signal
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -172,6 +173,22 @@ class TestCrossCorrelate:
     def test_template_longer_than_cepstrum(self):
         with pytest.raises(ValueError):
             cross_correlate(np.zeros(10), np.ones(11))
+
+    # spread_profile correlates a cepstrum prefix: the first n_lags lags read only
+    # the first n_lags + L - 1 samples, so they must match the full correlation's
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data(), n=st.integers(min_value=1, max_value=3000),
+           seed=st.integers(min_value=0, max_value=2**31))
+    def test_prefix_correlation_matches_full_correlation_property(self, data, n, seed):
+        length = data.draw(st.integers(min_value=1, max_value=n), label="length")
+        n_lags = data.draw(st.integers(min_value=1, max_value=n - length + 1), label="n_lags")
+        rng = np.random.default_rng(seed)
+        c = rng.standard_normal(n)
+        t = rng.choice([-1.0, 1.0], size=length)
+        full = scipy.signal.correlate(c, t, mode="valid")[:n_lags]
+        prefix = cross_correlate(c[: n_lags + length - 1], t)
+        assert prefix.shape == full.shape
+        assert np.max(np.abs(prefix - full)) <= 1e-12 * np.max(np.abs(full))
 
 
 class TestEnhanceCorrelation:
