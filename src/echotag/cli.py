@@ -157,6 +157,12 @@ def _audio_format(args) -> str:
     return out_format
 
 
+def _require_out_dir(path) -> None:
+    out_dir = os.path.dirname(path) or "."
+    if not os.path.isdir(out_dir):  # checked before the command's work, the slow part
+        raise CommandError(f"--out directory {out_dir!r} does not exist")
+
+
 def _canonicalize(clip, target_rate, no_resample):
     if no_resample or clip.sample_rate == target_rate:
         return clip
@@ -168,6 +174,7 @@ def cmd_gen_patterns(args) -> int:
         raise CommandError("--count must be at least 2 (a distance spread needs pairs)")
     if args.length < 2:
         raise CommandError("--length must be at least 2")
+    _require_out_dir(args.out)
     ps = generate_pattern_set(args.count, args.length, args.seed)
     if not ps.converged:
         # nothing is written unless the spread targets were reached
@@ -197,6 +204,7 @@ def _embed_file(in_path, out_path, key, target_rate, no_resample, out_format):
 def cmd_embed(args) -> int:
     key_name, key = _pick_key(load_key_file(args.key_file), args.key)
     out_format = _audio_format(args)
+    _require_out_dir(args.out_path)
     clipped = _embed_file(args.in_path, args.out_path, key,
                           args.sample_rate, args.no_resample, out_format)
     print(json.dumps({
@@ -312,9 +320,7 @@ def cmd_payload(args) -> int:
     if args.action == "encode":
         if args.bits is None or args.n_bits is None or args.out_path is None:
             raise CommandError("payload encode needs --bits, --n-bits and --out")
-        out_dir = os.path.dirname(args.out_path) or "."
-        if not os.path.isdir(out_dir):  # checked before the encode, the slow part
-            raise CommandError(f"--out directory {out_dir!r} does not exist")
+        _require_out_dir(args.out_path)
         out_format = _audio_format(args)
         tagged = encode_payload(clip, hex_to_bits(args.bits, args.n_bits), config)
         save_audio(tagged, args.out_path, format=out_format)

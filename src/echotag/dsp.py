@@ -1,8 +1,8 @@
 """Spectral core: real cepstrum, convolution, cross-correlation.
 
-The real cepstrum is ifft(log|fft(x)|) taken over the whole buffer, with no
-analysis window and no padding; an echo at lag d shows up as a peak at
-quefrency d (and its mirror N-d).
+The real cepstrum is ifft(log|fft(x)|) taken over the whole buffer (or each
+row of a stack of them), with no analysis window and no padding; an echo at
+lag d shows up as a peak at quefrency d (and its mirror N-d).
 """
 
 from __future__ import annotations
@@ -17,28 +17,22 @@ from .audio import AudioClip
 SPECTRAL_FLOOR = 1e-12
 
 
-def _samples(x) -> np.ndarray:
-    if isinstance(x, AudioClip):
-        return x.samples
-    return np.asarray(x, dtype=np.float64)
-
-
 def real_cepstrum(clip) -> np.ndarray:
-    """Real cepstrum of a clip (or bare sample array).
+    """Real cepstrum of a clip (or bare sample array), along the last axis.
 
     Inputs:
-        clip: AudioClip or 1-D array, length >= 2
+        clip: AudioClip, or an (..., N) array with N >= 2 whose length-N rows
+            are each transformed as a 1-D call on that row would be
     Output:
-        length-N float64 array of cepstral values indexed by lag; symmetric
-        about N/2 (values[k] == values[N-k]) since the log spectrum is real
-        and even.
+        float64 array of the input's shape, indexed by lag along the last
+        axis; symmetric about N/2 (values[k] == values[N-k]) since the log
+        spectrum is real and even.
     """
-    x = _samples(clip)
-    n = x.size
-    if n < 2:
+    x = clip.samples if isinstance(clip, AudioClip) else np.asarray(clip, dtype=np.float64)
+    if x.ndim == 0 or x.shape[-1] < 2:
         raise ValueError("cepstrum needs at least 2 samples")
-    magnitude = np.abs(np.fft.rfft(x))
-    return np.fft.irfft(np.log(np.maximum(magnitude, SPECTRAL_FLOOR)), n=n)
+    magnitude = np.abs(np.fft.rfft(x, axis=-1))
+    return np.fft.irfft(np.log(np.maximum(magnitude, SPECTRAL_FLOOR)), n=x.shape[-1], axis=-1)
 
 
 def convolve(clip: AudioClip, kernel) -> AudioClip:

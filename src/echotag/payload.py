@@ -3,8 +3,8 @@
 The classical per-window scheme: build two whole-clip echo versions of the
 carrier at lags delta0/delta1 and crossfade between them so each window's
 center carries one payload bit; at 44.1 kHz with 1024-sample windows that is
-about 43 bits per second. Decoding compares cepstral values at the two lags
-window by window.
+about 43 bits per second. Decoding takes one 2-D cepstrum over the windows
+and compares each window's cepstral values at the two lags.
 """
 
 from __future__ import annotations
@@ -79,7 +79,10 @@ def encode_payload(clip: AudioClip, bits, config: PayloadConfig = PayloadConfig(
 
 
 def decode_payload(clip: AudioClip, config: PayloadConfig, n_bits: int) -> np.ndarray:
-    """Read n_bits back: per-window cepstrum, bit = 0 iff c[delta0] > c[delta1]."""
+    """Read n_bits back, one per window: bit = 0 iff c[delta0] > c[delta1].
+
+    One 2-D cepstrum over the first n_bits windows as rows; a tie reads 1.
+    """
     if n_bits < 0:
         raise ValueError("n_bits must be >= 0")
     if n_bits * config.window > len(clip):
@@ -87,9 +90,6 @@ def decode_payload(clip: AudioClip, config: PayloadConfig, n_bits: int) -> np.nd
             f"clip of {len(clip)} samples holds at most "
             f"{capacity_bits(len(clip), config)} bits, asked for {n_bits}"
         )
-    bits = np.empty(n_bits, dtype=np.uint8)
-    for k in range(n_bits):
-        window = clip.samples[k * config.window : (k + 1) * config.window]
-        c = real_cepstrum(window)
-        bits[k] = 0 if c[config.delta0] > c[config.delta1] else 1
-    return bits
+    windows = clip.samples[: n_bits * config.window].reshape(n_bits, config.window)
+    c = real_cepstrum(windows)
+    return (c[:, config.delta0] <= c[:, config.delta1]).astype(np.uint8)

@@ -1,6 +1,7 @@
-"""Shared test utilities: seeded signal factories, a small music synth and
-the scalar exclusion z-score that the vectorized zscore_profile is checked
-against.
+"""Shared test utilities: seeded signal factories, a small music synth, and
+the loop versions that vectorized code is checked against: the scalar
+exclusion z-score for zscore_profile and the per-window payload decoder for
+decode_payload.
 
 The synthetic music clips stand in for real corpus material: bass, chords,
 melody and percussion with per-note envelopes, deterministic per seed.
@@ -8,7 +9,7 @@ melody and percussion with per-note envelopes, deterministic per seed.
 
 import numpy as np
 
-from echotag import AudioClip
+from echotag import AudioClip, real_cepstrum
 from echotag.detect import SIGMA_FLOOR
 
 SR = 44100
@@ -34,6 +35,16 @@ def exclusion_zscore(values, i: int, a: int, b: int, halfwidth: int = 0):
     if sigma < SIGMA_FLOOR:
         return 0.0, True
     return float((values[i] - mu) / sigma), False
+
+
+def decode_payload_per_window(clip, config, n_bits):
+    """decode_payload one window at a time: one 1-D cepstrum per bit."""
+    bits = np.empty(n_bits, dtype=np.uint8)
+    for k in range(n_bits):
+        window = clip.samples[k * config.window : (k + 1) * config.window]
+        c = real_cepstrum(window)
+        bits[k] = 0 if c[config.delta0] > c[config.delta1] else 1
+    return bits
 
 
 def noise_clip(seed, seconds=10.0, rate=SR, scale=0.1):

@@ -489,6 +489,9 @@ UNWRITABLE_OUTPUTS = {
     "evaluate-output-dir-under-a-file": lambda tmp, keyfile, wav: [
         "evaluate", "--config",
         eval_config(tmp, keyfile, output_dir=str(tmp / "carrier.wav" / "results"))],
+    "embed-into-missing-dir": lambda tmp, keyfile, wav: [
+        "embed", "--in", wav, "--out", tmp / "missing" / "o.wav",
+        "--key-file", keyfile, "--key", "echo75"],
     "gen-patterns-into-missing-dir": lambda tmp, keyfile, wav: [
         "gen-patterns", "--count", 4, "--length", 512, "--out", tmp / "missing" / "ps.json"],
     "payload-encode-into-missing-dir": lambda tmp, keyfile, wav: [
@@ -499,7 +502,9 @@ UNWRITABLE_OUTPUTS = {
 
 # the work a case's command must not start before it finds its output unwritable
 WORK_BEFORE_OUTPUT = {
+    "embed-into-missing-dir": "echotag.cli.embed",
     "evaluate-output-dir-under-a-file": "echotag.evalrun.run_duration_sweep",
+    "gen-patterns-into-missing-dir": "echotag.cli.generate_pattern_set",
     "payload-encode-into-missing-dir": "echotag.cli.encode_payload",
 }
 
@@ -517,6 +522,8 @@ def test_unwritable_output_fails_with_one_message(tmp_path, keyfile, carrier_wav
     err = capsys.readouterr().err
     assert err.count("echotag: error:") == 1
     assert "Traceback" not in err
+    if case.endswith("-into-missing-dir"):
+        assert f"--out directory {str(tmp_path / 'missing')!r} does not exist" in err
 
 
 @pytest.mark.parametrize("verbose", [False, True])

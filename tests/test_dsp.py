@@ -92,6 +92,24 @@ class TestRealCepstrum:
         with pytest.raises(ValueError):
             real_cepstrum(AudioClip(np.ones(1), SR))
 
+    @pytest.mark.parametrize("x", [np.float64(1.0), np.ones(1), np.ones((3, 1))],
+                             ids=["0-d", "length-1", "3x1"])
+    def test_too_short_arrays(self, x):
+        with pytest.raises(ValueError, match="cepstrum needs at least 2 samples"):
+            real_cepstrum(x)
+
+    # decode_payload takes every window's cepstrum in one 2-D call; each row
+    # must be exactly what a 1-D call on that row gives (tolerance 0)
+    @settings(max_examples=60, deadline=None)
+    @given(rows=st.integers(min_value=0, max_value=8), n=st.integers(min_value=2, max_value=2049),
+           seed=st.integers(min_value=0, max_value=2**31))
+    def test_rows_equal_one_dimensional_calls_property(self, rows, n, seed):
+        x = np.random.default_rng(seed).standard_normal((rows, n))
+        c = real_cepstrum(x)
+        expected = np.stack([real_cepstrum(r) for r in x]) if rows else np.empty((0, n))
+        assert c.shape == x.shape and c.dtype == np.float64
+        assert np.array_equal(c, expected)
+
 
 class TestConvolve:
     def test_identity_kernel(self):

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from echotag import (
+    AudioClip,
     PayloadConfig,
     bits_per_second,
     capacity_bits,
@@ -9,7 +10,7 @@ from echotag import (
     encode_payload,
 )
 from echotag.embed import EchoKey, embed_single_echo
-from helpers import noise_clip
+from helpers import SR, decode_payload_per_window, noise_clip
 
 
 class TestPayloadConfig:
@@ -127,3 +128,56 @@ class TestDecode:
         encoded = encode_payload(clip, bits, config)
         assert np.array_equal(decode_payload(encoded, swapped, 43),
                               1 - decode_payload(encoded, config, 43))
+
+
+class TestDecodeMatchesPerWindowLoop:
+    """The 2-D decode against the per-window loop it replaced: exact bits."""
+
+    CAPACITY = 24
+
+    @pytest.fixture(params=[
+        PayloadConfig(),
+        PayloadConfig(delta0=100, delta1=50),
+        PayloadConfig(delta0=30, delta1=75, alpha=0.3, window=512),
+        PayloadConfig(delta0=125, delta1=7, alpha=0.2, window=600),
+    ], ids=["default", "swapped-lags", "window-512", "window-600"])
+    def encoded(self, request):
+        """A full-capacity payload clip with a silent window and a trailing partial window."""
+        config = request.param
+        rng = np.random.default_rng(config.window + config.delta0)
+        partial = config.window // 2 + 3
+        clip = AudioClip(rng.standard_normal(self.CAPACITY * config.window + partial), SR)
+        samples = encode_payload(clip, rng.integers(0, 2, size=self.CAPACITY), config).samples
+        samples[3 * config.window : 4 * config.window] = 0.0  # equal cepstra at both lags
+        return AudioClip(samples, SR), config
+
+    @pytest.mark.parametrize("n_bits", [0, 1, CAPACITY // 2, CAPACITY])
+    def test_bits_dtype_and_shape_equal_the_loop(self, encoded, n_bits):
+        clip, config = encoded
+        assert capacity_bits(len(clip), config) == self.CAPACITY
+        bits = decode_payload(clip, config, n_bits)
+        expected = decode_payload_per_window(clip, config, n_bits)
+        assert bits.dtype == expected.dtype == np.uint8
+        assert bits.shape == expected.shape == (n_bits,)
+        assert np.array_equal(bits, expected)
+
+    def test_silent_window_ties_to_one(self, encoded):
+        clip, config = encoded
+        assert decode_payload(clip, config, 4)[3] == 1
+
+    def test_trailing_partial_window_ignored(self, encoded):
+        clip, config = encoded
+        whole = self.CAPACITY * config.window
+        noisier = clip.samples.copy()
+        noisier[whole:] = np.random.default_rng(1).standard_normal(len(clip) - whole)
+        bits = decode_payload(clip, config, self.CAPACITY)
+        assert np.array_equal(decode_payload(AudioClip(noisier, SR), config, self.CAPACITY), bits)
+        assert np.array_equal(decode_payload(AudioClip(clip.samples[:whole], SR), config,
+                                             self.CAPACITY), bits)
+        with pytest.raises(ValueError, match="holds at most 24 bits"):
+            decode_payload(clip, config, self.CAPACITY + 1)
+
+    def test_negative_bit_count_rejected(self, encoded):
+        clip, config = encoded
+        with pytest.raises(ValueError, match="n_bits must be >= 0"):
+            decode_payload(clip, config, -1)
