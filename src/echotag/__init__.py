@@ -16,7 +16,6 @@ from .detect import (
 )
 from .dsp import convolve, cross_correlate, enhance_correlation, real_cepstrum
 from .embed import (
-    CANONICAL_DELTAS,
     DEFAULT_SINGLE_ECHO_BAND,
     EchoKey,
     SpreadKey,
@@ -33,7 +32,6 @@ from .harness import (
     roc,
     run_bitflip_curve,
     run_duration_sweep,
-    run_tagging_experiment,
 )
 from .keyfiles import load_key_file, load_pattern_set, save_key_file, save_pattern_set
 from .patterns import (
@@ -51,7 +49,6 @@ __version__ = "0.1.0"
 __all__ = [
     "AudioClip",
     "BitflipCurve",
-    "CANONICAL_DELTAS",
     "ChannelSpec",
     "DEFAULT_SAMPLE_RATE",
     "DEFAULT_SINGLE_ECHO_BAND",
@@ -90,7 +87,6 @@ __all__ = [
     "roc",
     "run_bitflip_curve",
     "run_duration_sweep",
-    "run_tagging_experiment",
     "save_audio",
     "save_key_file",
     "save_pattern_set",

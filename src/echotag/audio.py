@@ -2,13 +2,16 @@
 
 Everything downstream works on `AudioClip`: a mono float64 buffer plus its
 sample rate. Files of any supported bit depth are converted to that canonical
-form on load so cepstra are never quantization-limited.
+form on load so cepstra are never quantization-limited. Every file echotag
+writes goes through `atomic_output`, so no output is ever left half-written.
 """
 
 from __future__ import annotations
 
 import logging
+import os
 import warnings
+from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -109,13 +112,35 @@ def save_audio(clip: AudioClip, path, format: str = "float32") -> int:
         clipped = int(np.count_nonzero((x < -1.0) | (x > 1.0)))
         if clipped:
             log.warning("save_audio: clipped %d out-of-range samples writing %s", clipped, path)
-        q = np.clip(np.round(x * 32768.0), -32768, 32767).astype(np.int16)
-        scipy.io.wavfile.write(path, clip.sample_rate, q)
+        data = np.clip(np.round(x * 32768.0), -32768, 32767).astype(np.int16)
     elif format == "float32":
-        scipy.io.wavfile.write(path, clip.sample_rate, clip.samples.astype(np.float32))
+        data = clip.samples.astype(np.float32)
     else:
         raise ValueError(f"unknown output format {format!r} (expected 'pcm16' or 'float32')")
+    with atomic_output(path, "wb") as fh:
+        scipy.io.wavfile.write(fh, clip.sample_rate, data)
     return clipped
+
+
+@contextmanager
+def atomic_output(path, mode: str = "w", **open_kwargs):
+    """Open a new temp file beside `path` to write; it replaces `path` when the block
+    ends and is removed if the block fails, so `path` is never left half-written."""
+    path = os.fspath(path)
+    head, tail = os.path.split(path)
+    temp = os.path.join(head, f".{tail}.{os.urandom(4).hex()}.tmp")
+    try:
+        fh = open(temp, mode.replace("w", "x"), **open_kwargs)
+    except OSError as exc:
+        exc.filename = path  # name the output, not its temp file
+        raise
+    try:
+        with fh:
+            yield fh
+        os.replace(temp, path)
+    except BaseException:
+        os.remove(temp)
+        raise
 
 
 def _design_resample_kernel(up: int, down: int) -> np.ndarray:

@@ -39,7 +39,6 @@ import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
 
-
 from .audio import DEFAULT_SAMPLE_RATE, load_audio, resample, save_audio
 from .detect import CSV_FIELDS, detect_single_echo, detect_spread
 from .embed import DEFAULT_SINGLE_ECHO_BAND, SpreadKey, embed
@@ -149,11 +148,11 @@ def _pick_key(keys: dict, name):
     raise CommandError(f"key file holds {len(keys)} keys; pick one with --key (available: {sorted(keys)})")
 
 
-def _audio_format(args) -> str:
-    """--format for a command that writes audio: pcm16 or float32 (the default)."""
-    out_format = args.format or "float32"
-    if out_format not in AUDIO_FORMATS:
-        raise CommandError(f"--format must be pcm16 or float32 for {args.command}, got {out_format!r}")
+def _format(args, default: str, formats) -> str:
+    """--format for this command: one of `formats`, `default` when not given."""
+    out_format = args.format or default
+    if out_format not in formats:
+        raise CommandError(f"--format must be {' or '.join(formats)} for {args.command}, got {out_format!r}")
     return out_format
 
 
@@ -203,7 +202,7 @@ def _embed_file(in_path, out_path, key, target_rate, no_resample, out_format):
 
 def cmd_embed(args) -> int:
     key_name, key = _pick_key(load_key_file(args.key_file), args.key)
-    out_format = _audio_format(args)
+    out_format = _format(args, "float32", AUDIO_FORMATS)
     _require_out_dir(args.out_path)
     clipped = _embed_file(args.in_path, args.out_path, key,
                           args.sample_rate, args.no_resample, out_format)
@@ -292,6 +291,7 @@ def cmd_tag_dataset(args) -> int:
 
 
 def cmd_detect(args) -> int:
+    out_format = _format(args, "json", ("json", "csv"))
     key_name, key = _pick_key(load_key_file(args.key_file), args.key)
     clip = _canonicalize(load_audio(args.in_path), args.sample_rate, args.no_resample)
     clip_id = os.path.basename(args.in_path)
@@ -301,15 +301,12 @@ def cmd_detect(args) -> int:
     else:
         report = detect_single_echo(clip, band=tuple(args.band), key_lag=key.delta,
                                     clip_id=clip_id, key_id=key_name)
-    out_format = args.format or "json"
     if out_format == "json":
         print(json.dumps(report.to_dict(include_profile=args.full_profile), sort_keys=True))
-    elif out_format == "csv":
+    else:
         writer = csv.DictWriter(sys.stdout, fieldnames=CSV_FIELDS, extrasaction="ignore")
         writer.writeheader()
         writer.writerow(report.to_dict(include_profile=False))
-    else:
-        raise CommandError(f"--format must be json or csv for detect, got {out_format!r}")
     return 0
 
 
@@ -321,7 +318,7 @@ def cmd_payload(args) -> int:
         if args.bits is None or args.n_bits is None or args.out_path is None:
             raise CommandError("payload encode needs --bits, --n-bits and --out")
         _require_out_dir(args.out_path)
-        out_format = _audio_format(args)
+        out_format = _format(args, "float32", AUDIO_FORMATS)
         tagged = encode_payload(clip, hex_to_bits(args.bits, args.n_bits), config)
         save_audio(tagged, args.out_path, format=out_format)
         print(json.dumps({

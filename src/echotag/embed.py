@@ -17,8 +17,6 @@ from .dsp import convolve
 
 # scan range the detector assumes for single echoes
 DEFAULT_SINGLE_ECHO_BAND = (25, 125)
-# the four whole-dataset tag lags used throughout the evaluation
-CANONICAL_DELTAS = (50, 75, 76, 100)
 
 DEFAULT_SINGLE_ALPHA = 0.4
 DEFAULT_SPREAD_ALPHA = 0.01

@@ -29,7 +29,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .audio import load_audio
+from .audio import atomic_output, load_audio
 from .embed import DEFAULT_SINGLE_ECHO_BAND, SpreadKey
 from .harness import (
     SEED,
@@ -199,7 +199,7 @@ def run_evaluation(config: EvalConfig) -> dict:
         },
     }
 
-    if config.flips is not None and isinstance(key, SpreadKey):
+    if config.flips is not None:  # load_eval_config allows flips with a spread key only
         curve = run_bitflip_curve(
             config.corpus, key,
             flips=config.flips,
@@ -229,10 +229,11 @@ def run_evaluation(config: EvalConfig) -> dict:
         }
 
     results_path = os.path.join(config.output_dir, "results.csv")
-    with open(results_path, "w", encoding="utf-8", newline="") as fh:
+    with atomic_output(results_path, encoding="utf-8", newline="") as fh:
         writer = csv.DictWriter(fh, fieldnames=RESULTS_FIELDS)
         writer.writeheader()
         for row in csv_rows:
             writer.writerow({k: _fmt(v) for k, v in row.items()})
-    write_json(os.path.join(config.output_dir, "summary.json"), summary)
+        # in the block, so that a failed summary.json also leaves results.csv as it was
+        write_json(os.path.join(config.output_dir, "summary.json"), summary)
     return summary

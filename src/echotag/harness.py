@@ -31,7 +31,7 @@ from .patterns import flip_bits
 
 log = logging.getLogger(__name__)
 
-# salt decorrelates the noise drawn by sibling stages / experiment cells
+# salt decorrelates the noise drawn by sibling stages of a composite channel
 _SALT_STRIDE = 1000003
 
 SEED = Kind("a non-negative integer", lambda v: INTEGER.ok(v) and v >= 0)
@@ -205,8 +205,6 @@ class RocResult:
 
     points: np.ndarray  # (m, 2) array of (fpr, tpr), from (0,0) to (1,1)
     auroc: float
-    n_true: int
-    n_false: int
 
 
 def roc(true_scores, false_scores) -> RocResult:
@@ -228,7 +226,7 @@ def roc(true_scores, false_scores) -> RocResult:
     fpr = 1.0 - np.searchsorted(f_sorted, thresholds, side="left") / f.size
     points = np.vstack([[0.0, 0.0], np.column_stack([fpr, tpr])])
     auroc = float(np.trapezoid(points[:, 1], points[:, 0]))
-    return RocResult(points=points, auroc=auroc, n_true=int(t.size), n_false=int(f.size))
+    return RocResult(points=points, auroc=auroc)
 
 
 # ---------------------------------------------------------------------------
@@ -368,45 +366,3 @@ def run_bitflip_curve(corpus, spread_key: SpreadKey, flips, channel: ChannelSpec
         true_scores=np.asarray(true_scores),
         clean_scores=np.asarray(clean_scores),
     )
-
-
-@dataclass
-class TaggingRow:
-    """z of one holdout clip at one candidate echo lag."""
-
-    clip_id: str
-    own_delta: int
-    tested_delta: int
-    z: float
-    argmax_lag: int
-
-
-def run_tagging_experiment(clips, manifest, holdout, band=DEFAULT_SINGLE_ECHO_BAND,
-                           channel: ChannelSpec = ChannelSpec(), seed: int = 0):
-    """Per-group tagging evaluation.
-
-    manifest maps clip_id -> EchoKey (the group tag); each holdout clip is
-    embedded with its group's echo, run through the channel (the simulated
-    model), and scored at every distinct lag the manifest uses. Returns one
-    TaggingRow per (holdout clip, candidate lag).
-    """
-    for clip_id in holdout:
-        if clip_id not in manifest:
-            raise ValueError(f"holdout clip {clip_id!r} has no manifest key")
-        if clip_id not in clips:
-            raise ValueError(f"holdout clip {clip_id!r} not found in corpus")
-    candidate_deltas = sorted({key.delta for key in manifest.values()})
-    rows = []
-    for index, clip_id in enumerate(holdout):
-        key = scaled_key(manifest[clip_id], echo_alpha_scale(channel))
-        simulated = apply_channel(embed(clips[clip_id], key), channel, salt=seed * _SALT_STRIDE + index)
-        report = detect_single_echo(simulated, band=band)
-        for delta in candidate_deltas:
-            rows.append(TaggingRow(
-                clip_id=clip_id,
-                own_delta=manifest[clip_id].delta,
-                tested_delta=delta,
-                z=report.profile.z_at(delta),
-                argmax_lag=report.argmax_lag,
-            ))
-    return rows

@@ -28,6 +28,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
+from .audio import atomic_output
 from .embed import EchoKey, SpreadKey
 from .patterns import PatternSet
 
@@ -47,27 +48,21 @@ def bits_to_hex(bits) -> str:
 
 def hex_to_bits(hex_string: str, length: int) -> np.ndarray:
     """Unpack `length` bits from an MSB-first hex string."""
-    if length > 4 * len(hex_string):
-        raise ValueError(f"hex string holds {4 * len(hex_string)} bits, need {length}")
-    values = np.array([int(ch, 16) for ch in hex_string], dtype=np.uint8)
+    if not 0 <= length <= 4 * len(hex_string):
+        raise ValueError(f"cannot take {length} of the {4 * len(hex_string)} bits the hex string holds")
+    try:
+        values = np.array([int(ch, 16) for ch in hex_string], dtype=np.uint8)
+    except ValueError:
+        raise ValueError(f"{reprlib.repr(hex_string)} is not a hex string") from None
     bits = ((values[:, None] >> np.array([3, 2, 1, 0])) & 1).reshape(-1)
     return bits[:length].astype(np.uint8)
 
 
 def write_json(path, document) -> None:
     """Write `document` as indented JSON with sorted keys and a final newline."""
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_output(path, encoding="utf-8") as fh:
         json.dump(document, fh, indent=2, sort_keys=True)
         fh.write("\n")
-
-
-def read_json_object(path) -> dict:
-    """Parse a JSON file whose top level must be an object; OSError or ValueError otherwise."""
-    with open(path, encoding="utf-8") as fh:
-        document = json.load(fh)
-    if not isinstance(document, dict):
-        raise ValueError(f"{path!r} must hold a JSON object, got {type(document).__name__}")
-    return document
 
 
 class ConfigError(ValueError):
@@ -154,7 +149,10 @@ def read_fields(path, what: str, version: int):
     block ends, one ConfigError lists every problem the block's reads found.
     """
     try:
-        raw = read_json_object(path)
+        with open(path, encoding="utf-8") as fh:
+            raw = json.load(fh)
+        if not isinstance(raw, dict):
+            raise ValueError(f"{path!r} must hold a JSON object, got {type(raw).__name__}")
     except (OSError, ValueError) as exc:
         raise ConfigError(what, path, [f"cannot read: {exc}"]) from exc
     fields = JsonFields(raw, os.path.dirname(os.path.abspath(path)))

@@ -1,9 +1,15 @@
+import itertools
+import os
+
 import numpy as np
 import pytest
 import scipy.io.wavfile
 
-from echotag import AudioClip, detect_single_echo, load_audio, mix, resample, save_audio
+from echotag import AudioClip, ChannelSpec, detect_single_echo, load_audio, mix, resample, save_audio
+from echotag import evalrun
 from echotag.embed import EchoKey, embed_single_echo
+from echotag.harness import SweepRow
+from echotag.keyfiles import write_json
 from helpers import SR, noise_clip, sine_clip
 
 
@@ -246,3 +252,82 @@ class TestMix:
             mix([a, b], [1.0, 1.0])
         with pytest.raises(ValueError):
             mix([a], [1.0, 2.0])
+
+
+def _save_audio_failing_mid_write(target, monkeypatch):
+    def write_then_fail(fh, rate, data):
+        fh.write(b"RIFF")  # the header has begun when the disk fills
+        raise OSError("No space left on device")
+
+    monkeypatch.setattr(scipy.io.wavfile, "write", write_then_fail)
+    save_audio(noise_clip(5, seconds=0.1), target)
+
+
+def _write_json_failing_mid_write(target, monkeypatch):
+    write_json(target, {"a": 1, "b": object()})  # "a" is written before "b" fails to encode
+
+
+def _evaluate_three_rows(output_dir, monkeypatch):
+    rows = [SweepRow("c0", "embedded", 5.0, index, "k", 75, 9.0, False) for index in range(3)]
+    monkeypatch.setattr(evalrun, "run_duration_sweep", lambda *args, **kwargs: rows)
+    evalrun.run_evaluation(evalrun.EvalConfig(
+        corpus=[], key_name="k", key=EchoKey(75), output_dir=str(output_dir), seed=0,
+        channel=ChannelSpec(), durations=[5.0], segments_per_clip=1, band=(25, 125),
+        include_clean=True, flips=None, bitflip_duration=30.0))
+
+
+def _results_csv_failing_mid_write(target, monkeypatch):
+    calls, fmt = itertools.count(), evalrun._fmt
+
+    def fmt_then_fail(value):  # fails halfway through the second row
+        if next(calls) == 3 * len(evalrun.RESULTS_FIELDS) // 2:
+            raise OSError("No space left on device")
+        return fmt(value)
+
+    monkeypatch.setattr(evalrun, "_fmt", fmt_then_fail)
+    _evaluate_three_rows(target.parent, monkeypatch)
+
+
+def _summary_json_failing_mid_write(target, monkeypatch):
+    monkeypatch.setattr(evalrun, "write_json",
+                        lambda path, summary: write_json(path, {**summary, "z": object()}))
+    _evaluate_three_rows(target.parent, monkeypatch)
+
+
+# case -> (target file name, a write that fails partway, given (target, monkeypatch))
+WRITES_FAILING_MID_WRITE = {
+    "save_audio": ("o.wav", _save_audio_failing_mid_write),
+    "write_json": ("o.json", _write_json_failing_mid_write),
+    "results.csv": ("results.csv", _results_csv_failing_mid_write),
+    "summary.json": ("results.csv", _summary_json_failing_mid_write),
+}
+
+
+class TestAtomicOutput:
+    @pytest.mark.parametrize("old", [None, b"old bytes"])
+    @pytest.mark.parametrize("case", sorted(WRITES_FAILING_MID_WRITE))
+    def test_failed_write_leaves_the_target_as_it_was(self, tmp_path, monkeypatch, case, old):
+        name, write = WRITES_FAILING_MID_WRITE[case]
+        target = tmp_path / name
+        if old is not None:
+            target.write_bytes(old)
+        with pytest.raises((OSError, TypeError)):
+            write(target, monkeypatch)
+        # no temp file is left behind, and evaluate wrote no summary.json either
+        assert os.listdir(tmp_path) == ([] if old is None else [name])
+        if old is not None:
+            assert target.read_bytes() == old
+
+    def test_output_and_overwrite_match_a_direct_write(self, tmp_path):
+        clip = noise_clip(6, seconds=0.1)
+        scipy.io.wavfile.write(tmp_path / "direct.wav", SR, clip.samples.astype(np.float32))
+        save_audio(AudioClip(np.zeros(8), SR), tmp_path / "a.wav")
+        save_audio(clip, tmp_path / "a.wav")
+        assert (tmp_path / "a.wav").read_bytes() == (tmp_path / "direct.wav").read_bytes()
+        assert sorted(os.listdir(tmp_path)) == ["a.wav", "direct.wav"]
+
+    def test_error_names_the_target_not_its_temp_file(self, tmp_path):
+        target = tmp_path / "missing" / "o.wav"
+        with pytest.raises(FileNotFoundError) as info:
+            save_audio(noise_clip(7, seconds=0.1), target)
+        assert info.value.filename == str(target)

@@ -99,6 +99,15 @@ class TestEmbedDetect:
         assert lines[0].split(",")[:2] == ["clip_id", "key_id"]
         assert len(lines) == 2
 
+    def test_report_format_checked_before_detecting(self, keyfile, carrier_wav, capsys,
+                                                    monkeypatch):
+        monkeypatch.setattr("echotag.cli.detect_single_echo", _work_that_must_not_run)
+        assert run_cli("--format", "xml", "detect", "--in", carrier_wav,
+                       "--key-file", keyfile, "--key", "echo75") == 1
+        err = capsys.readouterr().err
+        assert err.strip().splitlines() == [
+            "echotag: error: --format must be json or csv for detect, got 'xml'"]
+
     def test_spread_round_trip(self, tmp_path, keyfile, capsys):
         carrier = tmp_path / "long.wav"
         save_audio(noise_clip(101, seconds=10.0, scale=1.0), carrier, format="float32")
@@ -322,6 +331,20 @@ class TestPayloadCli:
         assert run_cli("--format", "csv", "payload", "encode", "--in", carrier, "--out", out,
                        "--bits", "ff", "--n-bits", 8) == 1
         assert "--format must be pcm16 or float32" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("bits, n_bits, message", [
+        ("a5", -3, "cannot take -3 of the 8 bits the hex string holds"),
+        ("a5z", 8, "'a5z' is not a hex string"),
+    ])
+    def test_bad_payload_bits_fail_with_one_line(self, tmp_path, carrier_wav, capsys,
+                                                 bits, n_bits, message):
+        out = tmp_path / "o.wav"
+        assert run_cli("payload", "encode", "--in", carrier_wav, "--out", out,
+                       "--bits", bits, "--n-bits", n_bits) == 1
+        captured = capsys.readouterr()
+        assert captured.err.strip().splitlines() == [f"echotag: error: {message}"]
+        assert captured.out == ""
         assert not out.exists()
 
 

@@ -16,7 +16,6 @@ from echotag import (
     roc,
     run_bitflip_curve,
     run_duration_sweep,
-    run_tagging_experiment,
 )
 from echotag.harness import echo_alpha_scale, key_label, median_z_by_duration
 from helpers import SR, noise_clip
@@ -271,39 +270,6 @@ class TestAttenuationTrend:
             aurocs.append(roc(true_scores, clean_scores).auroc)
         assert all(a >= b - 1e-12 for a, b in zip(aurocs, aurocs[1:])), aurocs
         assert aurocs[0] > aurocs[-1] or aurocs[0] == 1.0
-
-
-class TestTaggingExperiment:
-    def test_two_groups_separate(self):
-        clips = {f"m{v}": noise_clip((70, v), seconds=8.0, scale=1.0) for v in range(3)}
-        clips.update({f"f{v}": noise_clip((71, v), seconds=8.0, scale=1.0) for v in range(3)})
-        manifest = {cid: EchoKey(50, 0.4) for cid in clips if cid.startswith("m")}
-        manifest.update({cid: EchoKey(75, 0.4) for cid in clips if cid.startswith("f")})
-        rows = run_tagging_experiment(clips, manifest, holdout=list(clips), seed=2)
-        assert len(rows) == 6 * 2  # every holdout clip scored at both lags
-        by_clip = {}
-        for row in rows:
-            by_clip.setdefault(row.clip_id, {})[row.tested_delta] = row.z
-        correct = sum(
-            1 for cid, scores in by_clip.items()
-            if scores[manifest[cid].delta] > scores[75 if manifest[cid].delta == 50 else 50]
-        )
-        assert correct >= 0.9 * len(by_clip)
-
-    def test_single_group_reduces_to_sweep_semantics(self):
-        clips = {f"c{v}": noise_clip((72, v), seconds=8.0, scale=1.0) for v in range(2)}
-        manifest = {cid: EchoKey(75, 0.4) for cid in clips}
-        rows = run_tagging_experiment(clips, manifest, holdout=list(clips), seed=3)
-        assert len(rows) == 2  # one candidate lag only
-        assert all(row.tested_delta == 75 and row.own_delta == 75 for row in rows)
-        assert all(row.z > 5.0 and row.argmax_lag == 75 for row in rows)
-
-    def test_empty_holdout(self):
-        assert run_tagging_experiment({}, {}, holdout=[]) == []
-
-    def test_unknown_holdout_rejected(self):
-        with pytest.raises(ValueError):
-            run_tagging_experiment({}, {}, holdout=["ghost"])
 
 
 class TestKeyLabel:

@@ -44,6 +44,14 @@ class TestHexPacking:
         with pytest.raises(ValueError):
             hex_to_bits("ff", 9)
 
+    def test_negative_length_rejected(self):
+        with pytest.raises(ValueError, match="cannot take -3 of the 8 bits"):
+            hex_to_bits("a5", -3)
+
+    def test_non_hex_digit_named(self):
+        with pytest.raises(ValueError, match="'a5z' is not a hex string"):
+            hex_to_bits("a5z", 8)
+
 
 class TestKeyFiles:
     def test_single_key_dict(self):
