@@ -169,10 +169,6 @@ def _canonicalize(clip, target_rate, no_resample):
 
 
 def cmd_gen_patterns(args) -> int:
-    if args.count < 2:
-        raise CommandError("--count must be at least 2 (a distance spread needs pairs)")
-    if args.length < 2:
-        raise CommandError("--length must be at least 2")
     _require_out_dir(args.out)
     ps = generate_pattern_set(args.count, args.length, args.seed)
     if not ps.converged:

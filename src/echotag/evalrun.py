@@ -15,7 +15,7 @@ Config schema (version 1):
      "durations": [5, 10, 30, 60], "segments_per_clip": 4,
      "band": [25, 125],                          # single-echo scan, integers 1 <= a < b
      "include_clean": true,                      # also run unembedded rows
-     "flips": [0, 128, 256, 384, 512],          # optional, spread keys only
+     "flips": [0, 128, 256, 384, 512],          # optional, spread keys with delta >= 3
      "bitflip_duration": 30,                     # optional, default 30
      "output_dir": "results"}
 """
@@ -30,6 +30,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .audio import atomic_output, load_audio
+from .detect import SPREAD_BAND_START
 from .embed import DEFAULT_SINGLE_ECHO_BAND, SpreadKey
 from .harness import (
     SEED,
@@ -128,11 +129,13 @@ def load_eval_config(path) -> EvalConfig:
                 fields.problem(f"corpus clip {clip_path!r} lasts {clip.duration_seconds:.2f}s, "
                                f"shorter than the {longest}s segments it must hold")
             clips.append((os.path.basename(clip_path), clip))
-        if flips is not None and key is not None:
-            if not isinstance(key, SpreadKey):
-                fields.problem("'flips' requires a spread key")
-            elif any(k > key.length for k in flips):
+        if flips is not None and isinstance(key, SpreadKey):
+            if any(k > key.length for k in flips):
                 fields.problem(f"flip counts must be <= pattern length {key.length}")
+            if key.delta < SPREAD_BAND_START:  # the bit-flip curve reads z at the key's lag
+                fields.problem(f"'flips' needs a spread key delta >= {SPREAD_BAND_START}, got {key.delta}")
+        elif flips is not None and key is not None:
+            fields.problem("'flips' requires a spread key")
     return EvalConfig(
         corpus=clips,
         key_name=key_name,

@@ -30,7 +30,7 @@ import numpy as np
 
 from .audio import atomic_output
 from .embed import EchoKey, SpreadKey
-from .patterns import PatternSet
+from .patterns import PatternSet, validate_pattern_set
 
 KEY_FILE_VERSION = 1
 PATTERN_FILE_VERSION = 1
@@ -234,7 +234,7 @@ def save_pattern_set(ps: PatternSet, path) -> None:
 
 
 def load_pattern_set(path) -> PatternSet:
-    """Read a pattern-set file; one ConfigError lists every problem in it."""
+    """Read a pattern-set file; one ConfigError lists every problem in it, rule breaks included."""
     with read_fields(path, "pattern-set file", PATTERN_FILE_VERSION) as fields:
         length = fields.get("length", POSITIVE_INTEGER)
         patterns = fields.get("patterns", Kind("a list of hex strings", lambda v: (
@@ -244,9 +244,15 @@ def load_pattern_set(path) -> PatternSet:
         converged = fields.get("converged", BOOLEAN, True)
         pattern_set = None
         if not fields.problems:
-            try:  # PatternSet makes an integer array of the distances
+            try:
                 bits = [hex_to_bits(h, length) for h in patterns]
-                pattern_set = PatternSet(bits, seed, distances, converged)
-            except (TypeError, ValueError, OverflowError) as exc:
-                fields.problem(f"bad pattern bits or distance matrix: {exc}")
+            except ValueError as exc:
+                fields.problem(f"bad pattern bits: {exc}")
+            else:
+                pattern_set = PatternSet(bits, seed, converged)
+                for problem in validate_pattern_set(pattern_set):
+                    fields.problem(problem)
+                # with no patterns there is no matrix to derive; the rule has refused the set
+                if bits and distances != pattern_set.distance_matrix.tolist():
+                    fields.problem("distance matrix does not match patterns")
     return pattern_set

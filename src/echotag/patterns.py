@@ -1,9 +1,11 @@
 """Pseudorandom time-spread pattern design.
 
-Patterns never have more than two equal bits in a row (pushes the audible
-energy of the perturbation toward high frequencies), and sets of patterns are
-constructed so their pairwise Hamming distances spread across (0, L) instead
-of clustering near L/2 the way i.i.d. patterns would.
+The pattern-set rule, checked by validate_pattern_set: at least 2 patterns of
+one length L; no run of more than MAX_RUN = 2 equal bits (this pushes the
+audible energy of the perturbation toward high frequencies); and, in a
+converged set, pairwise Hamming distances that spread across (0, L) instead of
+clustering near L/2 the way i.i.d. patterns would: the smallest is at least
+L/(2*count), and sorted, between end points 0 and L, no gap exceeds 2L/count.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ PATTERN_SET_TRIES = 1000
 
 @dataclass
 class PatternSet:
-    """A family of equal-length binary patterns with its distance matrix.
+    """A family of equal-length binary patterns.
 
     converged is False when the spread-acceptance loop ran out of retries and
     the best-found set was kept.
@@ -32,12 +34,10 @@ class PatternSet:
 
     patterns: list
     seed: int
-    distance_matrix: np.ndarray
     converged: bool = True
 
     def __post_init__(self):
         self.patterns = [np.asarray(p, dtype=np.uint8) for p in self.patterns]
-        self.distance_matrix = np.asarray(self.distance_matrix, dtype=int)
 
     @property
     def count(self) -> int:
@@ -47,19 +47,30 @@ class PatternSet:
     def length(self) -> int:
         return int(self.patterns[0].size)
 
+    @property
+    def distance_matrix(self) -> np.ndarray:
+        """Pairwise Hamming distances: the dot product of two +-1 patterns is L - 2 * distance."""
+        signs = 2 * np.array(self.patterns, dtype=int) - 1
+        return (self.length - signs @ signs.T) // 2
+
     def pairwise_distances(self) -> np.ndarray:
         """Off-diagonal distances (count*(count-1)/2 of them), unsorted."""
         i, j = np.triu_indices(self.count, k=1)
         return self.distance_matrix[i, j]
 
 
+def _runs(bits) -> tuple[np.ndarray, np.ndarray]:
+    """First and last index of each maximal run of equal bits, in order."""
+    bits = np.asarray(bits)
+    # a run starts at 0, at each bit unlike the one before it, and (a virtual one) past the end
+    is_start = np.concatenate(([True], bits[1:] != bits[:-1], [True]))
+    starts = np.nonzero(is_start)[0]
+    return starts[:-1], starts[1:] - 1
+
+
 def max_run_length(pattern) -> int:
-    bits = np.asarray(pattern)
-    best = run = 1
-    for i in range(1, bits.size):
-        run = run + 1 if bits[i] == bits[i - 1] else 1
-        best = max(best, run)
-    return best
+    first, last = _runs(pattern)
+    return int((last - first + 1).max())
 
 
 def is_run_valid(pattern, max_run: int = MAX_RUN) -> bool:
@@ -88,23 +99,19 @@ def generate_pattern(length: int, seed: int) -> np.ndarray:
 
 
 def repair_runs(pattern) -> np.ndarray:
-    """Flip the middle bit of every run longer than two until none remain."""
+    """Flip the middle bit of every run longer than two until none remain.
+
+    A sweep flips every long run found at its start: a middle bit lies inside
+    its run, so no flip changes another run of the sweep.
+    """
     bits = np.asarray(pattern, dtype=np.uint8).copy()
-    n = bits.size
-    max_sweeps = REPAIR_SWEEPS_PER_BIT * n
+    max_sweeps = REPAIR_SWEEPS_PER_BIT * bits.size
     for _ in range(max_sweeps):
-        changed = False
-        i = 0
-        while i < n:
-            j = i
-            while j + 1 < n and bits[j + 1] == bits[i]:
-                j += 1
-            if j - i + 1 > MAX_RUN:
-                bits[(i + j) // 2] ^= 1
-                changed = True
-            i = j + 1
-        if not changed:
+        first, last = _runs(bits)
+        too_long = last - first + 1 > MAX_RUN
+        if not too_long.any():
             return bits
+        bits[(first[too_long] + last[too_long]) // 2] ^= 1
     log.warning("run repair did not converge in %d sweeps", max_sweeps)
     return bits
 
@@ -134,38 +141,20 @@ def flip_bits(pattern, k: int, seed) -> np.ndarray:
     return bits
 
 
-def _distance_matrix(patterns) -> np.ndarray:
-    count = len(patterns)
-    m = np.zeros((count, count), dtype=int)
-    for i in range(count):
-        for j in range(i + 1, count):
-            m[i, j] = m[j, i] = hamming(patterns[i], patterns[j])
-    return m
-
-
-def _spread_gaps(distances, length) -> np.ndarray:
-    # gaps between sorted distances, with virtual endpoints at 0 and L so a
-    # cluster near L/2 cannot pass as "spread"
-    edges = np.concatenate(([0], np.sort(distances), [length]))
-    return np.diff(edges)
-
-
 def generate_pattern_set(count: int, length: int, seed: int) -> PatternSet:
     """Build `count` run-valid patterns whose pairwise distances spread over (0, L).
 
     Pattern 0 comes from generate_pattern; the others flip nested random
     position sets of increasing size (targets i*L/count), then repair runs.
-    Retries until the sorted distances (with endpoints 0 and L) have maximum
-    gap <= 2L/count and minimum distance >= L/(2*count); if the retry budget
-    runs out, the best-found set is returned with converged=False.
+    Returns the first try that meets the pattern-set rule (module docstring);
+    if the retry budget runs out, the try with the smallest largest gap is
+    returned with converged=False.
     """
     if count < 2:
         raise ValueError(f"need at least 2 patterns for a distance spread, got {count}")
     base = generate_pattern(length, seed)
     rng = np.random.default_rng([seed, 1])
     targets = [round(i * length / count) for i in range(1, count)]
-    min_distance = length / (2 * count)
-    max_gap = 2 * length / count
 
     best = None
     best_gap = np.inf
@@ -176,39 +165,44 @@ def generate_pattern_set(count: int, length: int, seed: int) -> PatternSet:
             flipped = base.copy()
             flipped[perm[:t]] ^= 1
             patterns.append(repair_runs(flipped))
-        matrix = _distance_matrix(patterns)
-        distances = matrix[np.triu_indices(count, k=1)]
-        worst_gap = _spread_gaps(distances, length).max()
-        if distances.min() >= min_distance and worst_gap <= max_gap:
-            return PatternSet(patterns=patterns, seed=seed, distance_matrix=matrix)
+        candidate = PatternSet(patterns, seed)
+        problems, worst_gap = _check(candidate)
+        if not problems:
+            return candidate
         if worst_gap < best_gap:
-            best, best_gap = (patterns, matrix), worst_gap
+            best, best_gap = candidate, worst_gap
     log.warning(
         "pattern set (count=%d, L=%d, seed=%d) did not meet spread targets in %d tries; "
         "returning best found (max gap %d)",
-        count, length, seed, PATTERN_SET_TRIES, int(best_gap),
+        count, length, seed, PATTERN_SET_TRIES, best_gap,
     )
-    patterns, matrix = best
-    return PatternSet(patterns=patterns, seed=seed, distance_matrix=matrix, converged=False)
+    return PatternSet(best.patterns, seed, converged=False)
 
 
 def validate_pattern_set(ps: PatternSet) -> list:
-    """Return a list of constraint-violation messages (empty when valid)."""
-    problems = []
-    lengths = {p.size for p in ps.patterns}
-    if len(lengths) != 1:
-        problems.append(f"patterns have mixed lengths {sorted(lengths)}")
-        return problems
-    for idx, p in enumerate(ps.patterns):
-        if not is_run_valid(p):
-            problems.append(f"pattern {idx} has a run longer than {MAX_RUN}")
-    expected = _distance_matrix(ps.patterns)
-    if not np.array_equal(expected, ps.distance_matrix):
-        problems.append("distance matrix does not match patterns")
-    min_distance = ps.length / (2 * ps.count)
+    """Every way `ps` breaks the pattern-set rule (module docstring); empty when it holds."""
+    return _check(ps)[0]
+
+
+def _check(ps: PatternSet) -> tuple[list, int]:
+    """validate_pattern_set's problems, and the distance spread's largest gap (0 when
+    unchecked), by which generate_pattern_set ranks the tries it rejects."""
+    if ps.count < 2:
+        return [f"a pattern set needs at least 2 patterns, got {ps.count}"], 0
+    lengths = sorted({p.size for p in ps.patterns})
+    if len(lengths) > 1:
+        return [f"patterns have mixed lengths {lengths}"], 0
+    problems = [f"pattern {i} has a run longer than {MAX_RUN}"
+                for i, p in enumerate(ps.patterns) if not is_run_valid(p)]
+    if not ps.converged:
+        return problems, 0
     distances = ps.pairwise_distances()
-    if distances.size and distances.min() < min_distance:
-        problems.append(
-            f"minimum pairwise distance {int(distances.min())} below {min_distance:.0f}"
-        )
-    return problems
+    min_distance = ps.length / (2 * ps.count)
+    max_gap = 2 * ps.length / ps.count
+    edges = np.concatenate(([0], np.sort(distances), [ps.length]))
+    worst_gap = int(np.diff(edges).max())
+    if distances.min() < min_distance:
+        problems.append(f"minimum pairwise distance {distances.min()} below {min_distance:g}")
+    if worst_gap > max_gap:
+        problems.append(f"largest gap {worst_gap} between sorted distances above {max_gap:g}")
+    return problems, worst_gap

@@ -1,7 +1,8 @@
 """Shared test utilities: seeded signal factories, a small music synth, and
 the loop versions that vectorized code is checked against: the scalar
-exclusion z-score for zscore_profile and the per-window payload decoder for
-decode_payload.
+exclusion z-score for zscore_profile, the per-window payload decoder for
+decode_payload, and the bit-by-bit run scans and pairwise Hamming loop for
+patterns.max_run_length, repair_runs and PatternSet.distance_matrix.
 
 The synthetic music clips stand in for real corpus material: bass, chords,
 melody and percussion with per-note envelopes, deterministic per seed.
@@ -11,6 +12,7 @@ import numpy as np
 
 from echotag import AudioClip, real_cepstrum
 from echotag.detect import SIGMA_FLOOR
+from echotag.patterns import MAX_RUN, REPAIR_SWEEPS_PER_BIT, hamming
 
 SR = 44100
 
@@ -45,6 +47,46 @@ def decode_payload_per_window(clip, config, n_bits):
         c = real_cepstrum(window)
         bits[k] = 0 if c[config.delta0] > c[config.delta1] else 1
     return bits
+
+
+def max_run_length_loop(pattern) -> int:
+    """Longest run of equal bits, one bit at a time."""
+    bits = np.asarray(pattern)
+    best = run = 1
+    for i in range(1, bits.size):
+        run = run + 1 if bits[i] == bits[i - 1] else 1
+        best = max(best, run)
+    return best
+
+
+def repair_runs_loop(pattern) -> np.ndarray:
+    """repair_runs walking each sweep's runs left to right, one bit at a time."""
+    bits = np.asarray(pattern, dtype=np.uint8).copy()
+    n = bits.size
+    for _ in range(REPAIR_SWEEPS_PER_BIT * n):
+        changed = False
+        i = 0
+        while i < n:
+            j = i
+            while j + 1 < n and bits[j + 1] == bits[i]:
+                j += 1
+            if j - i + 1 > MAX_RUN:
+                bits[(i + j) // 2] ^= 1
+                changed = True
+            i = j + 1
+        if not changed:
+            return bits
+    return bits
+
+
+def distance_matrix_loop(patterns) -> np.ndarray:
+    """Pairwise Hamming distances, one pair at a time."""
+    count = len(patterns)
+    m = np.zeros((count, count), dtype=int)
+    for i in range(count):
+        for j in range(i + 1, count):
+            m[i, j] = m[j, i] = hamming(patterns[i], patterns[j])
+    return m
 
 
 def noise_clip(seed, seconds=10.0, rate=SR, scale=0.1):

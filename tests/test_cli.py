@@ -494,6 +494,20 @@ class TestEvaluate:
         assert aurocs[0] == pytest.approx(0.5, abs=1e-9)
         assert summary["bitflip_curve"]["clean_auroc"] >= 0.9
 
+    @pytest.mark.parametrize("key, problem", [
+        ("echo75", "'flips' requires a spread key"),
+        ("pn_lag2", "'flips' needs a spread key delta >= 3, got 2"),
+    ])
+    def test_flips_refused_before_any_work(self, tmp_path, capsys, monkeypatch, key, problem):
+        keyfile = tmp_path / "flip_keys.json"
+        save_key_file({"echo75": EchoKey(75, 0.4),
+                       "pn_lag2": SpreadKey(generate_pattern(256, 11), delta=2)}, keyfile)
+        monkeypatch.setattr("echotag.evalrun.run_duration_sweep", _work_that_must_not_run)
+        config = eval_config(tmp_path, keyfile, key=key, flips=[0, 8], bitflip_duration=5.0)
+        assert run_cli("evaluate", "--config", config) == 1
+        assert f"  - {problem}\n" in capsys.readouterr().err
+        assert not (tmp_path / "results").exists()
+
 
 @pytest.mark.parametrize("argv", [
     ["evaluate", "--config"],

@@ -120,6 +120,45 @@ class TestPatternSetFiles:
         with pytest.raises(ValueError, match="version"):
             load_pattern_set(path)
 
+    @staticmethod
+    def _document(tmp_path, ps):
+        save_pattern_set(ps, tmp_path / "patterns.json")
+        return json.loads((tmp_path / "patterns.json").read_text())
+
+    @staticmethod
+    def _problems(tmp_path, document):
+        path = tmp_path / "edited.json"
+        path.write_text(json.dumps(document))
+        with pytest.raises(ConfigError) as info:
+            load_pattern_set(path)
+        return info.value.problems
+
+    def test_run_and_matrix_problems_listed_together(self, tmp_path):
+        document = self._document(tmp_path, generate_pattern_set(4, 64, 1))
+        document["patterns"][0] = "f" * 16  # a run of 64 ones
+        document["distance_matrix"] = [[0] * 4 for _ in range(4)]
+        problems = self._problems(tmp_path, document)
+        assert "pattern 0 has a run longer than 2" in problems
+        assert "distance matrix does not match patterns" in problems
+
+    @pytest.mark.parametrize("count", [0, 1])
+    def test_fewer_than_two_patterns_refused(self, tmp_path, count):
+        document = self._document(tmp_path, generate_pattern_set(4, 64, 1))
+        document["patterns"] = document["patterns"][:count]
+        document["distance_matrix"] = [row[:count] for row in document["distance_matrix"][:count]]
+        problems = self._problems(tmp_path, document)
+        assert problems == [f"a pattern set needs at least 2 patterns, got {count}"]
+
+    def test_spread_checked_only_in_a_converged_set(self, tmp_path):
+        ps = generate_pattern_set(4, 64, 1)
+        ps.patterns[1] = ps.patterns[0].copy()  # distance 0
+        ps.converged = False
+        document = self._document(tmp_path, ps)
+        assert load_pattern_set(tmp_path / "patterns.json").converged is False
+        document["converged"] = True
+        problems = self._problems(tmp_path, document)
+        assert problems == ["minimum pairwise distance 0 below 8"]
+
 
 # Valid documents for the two files a user writes by hand; their paths are
 # relative to the directory that holds all four files.

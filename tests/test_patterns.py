@@ -3,10 +3,20 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from echotag import cross_correlate, flip_bits, generate_pattern, generate_pattern_set, hamming
+from echotag import (
+    PatternSet,
+    cross_correlate,
+    flip_bits,
+    generate_pattern,
+    generate_pattern_set,
+    hamming,
+)
 from echotag.keyfiles import bits_to_hex
 from echotag.patterns import is_run_valid, max_run_length, repair_runs, validate_pattern_set
+from helpers import distance_matrix_loop, max_run_length_loop, repair_runs_loop
 
 # frozen output of generate_pattern_set(8, 1024, 1); regenerate only on a
 # deliberate generator version bump
@@ -68,6 +78,46 @@ class TestRepairRuns:
     def test_noop_on_valid(self):
         bits = generate_pattern(128, 3)
         assert np.array_equal(repair_runs(bits), bits)
+
+
+def alternating_runs(length, seed, longest):
+    """`length` bits in alternating runs of 1 to `longest` equal bits."""
+    rng = np.random.default_rng(seed)
+    sizes = rng.integers(1, longest + 1, size=length)
+    values = (np.arange(length) + rng.integers(0, 2)) % 2
+    return np.repeat(values, sizes)[:length].astype(np.uint8)
+
+
+LENGTHS = st.integers(1, 2049)
+# runs longer than a few bits need several repair sweeps: a run of n bits
+# takes about log2(n) sweeps to break up, so an all-equal array of 2,049 bits
+# takes 10
+BIT_ARRAYS = st.one_of(
+    st.builds(alternating_runs, LENGTHS, st.integers(0, 2**32 - 1),
+              st.sampled_from([1, 2, 3, 8, 100, 2049])),
+    st.builds(lambda length, bit: np.full(length, bit, dtype=np.uint8), LENGTHS, st.integers(0, 1)),
+)
+
+
+class TestFastPathsMatchLoops:
+    """The run finder and the matrix product equal the loops they replaced, exactly."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(bits=BIT_ARRAYS)
+    @example(bits=np.zeros(2049, dtype=np.uint8))
+    @example(bits=np.ones(1, dtype=np.uint8))
+    def test_runs_and_repair(self, bits):
+        assert max_run_length(bits) == max_run_length_loop(bits)
+        assert np.array_equal(repair_runs(bits), repair_runs_loop(bits))
+
+    @settings(max_examples=100, deadline=None)
+    @given(count=st.integers(2, 8), length=LENGTHS, seed=st.integers(0, 2**32 - 1),
+           ones=st.sampled_from([0.0, 0.5, 1.0]))
+    def test_distance_matrix(self, count, length, seed, ones):
+        # ones 0 and 1 give all-equal patterns
+        patterns = list(np.random.default_rng(seed).random((count, length)) < ones)
+        matrix = PatternSet(patterns, seed).distance_matrix
+        assert np.array_equal(matrix, distance_matrix_loop(patterns))
 
 
 class TestHamming:
@@ -151,11 +201,22 @@ class TestGeneratePatternSet:
     def test_validator_rejects_duplicates(self):
         ps = generate_pattern_set(4, 512, 2)
         ps.patterns[1] = ps.patterns[0].copy()
-        ps.distance_matrix = np.array(
-            [[hamming(a, b) for b in ps.patterns] for a in ps.patterns]
-        )
         problems = validate_pattern_set(ps)
         assert any("minimum pairwise distance" in p for p in problems)
+
+    def test_validator_rejects_distances_clustered_near_half(self):
+        # independent patterns sit near L/2 = 512 apart: far apart, but not spread
+        ps = PatternSet([generate_pattern(1024, seed) for seed in range(8)], seed=0)
+        distances = ps.pairwise_distances()
+        assert distances.min() >= 1024 / 16
+        gap = 1024 - distances.max()
+        assert validate_pattern_set(ps) == [f"largest gap {gap} between sorted distances above 256"]
+        ps.converged = False
+        assert validate_pattern_set(ps) == []
+
+    def test_validator_rejects_mixed_lengths(self):
+        mixed = PatternSet([generate_pattern(8, 0), generate_pattern(9, 0)], seed=0)
+        assert validate_pattern_set(mixed) == ["patterns have mixed lengths [8, 9]"]
 
     def test_validator_accepts_generated(self):
         ps = generate_pattern_set(8, 1024, 1)
