@@ -19,7 +19,6 @@ from .embed import (
     DEFAULT_SINGLE_ECHO_BAND,
     EchoKey,
     SpreadKey,
-    build_echo_kernel,
     embed,
     embed_single_echo,
     embed_spread,
@@ -39,7 +38,6 @@ from .patterns import (
     flip_bits,
     generate_pattern,
     generate_pattern_set,
-    hamming,
     is_run_valid,
 )
 from .payload import PayloadConfig, bits_per_second, capacity_bits, decode_payload, encode_payload
@@ -61,7 +59,6 @@ __all__ = [
     "ZScoreProfile",
     "apply_channel",
     "bits_per_second",
-    "build_echo_kernel",
     "capacity_bits",
     "convolve",
     "cross_correlate",
@@ -76,7 +73,6 @@ __all__ = [
     "flip_bits",
     "generate_pattern",
     "generate_pattern_set",
-    "hamming",
     "is_run_valid",
     "load_audio",
     "load_key_file",

@@ -155,7 +155,8 @@ def resample(clip: AudioClip, target_rate: int) -> AudioClip:
     """Band-limited polyphase resampling to target_rate.
 
     Output length is round(len(clip) * target_rate / sample_rate). Equal
-    rates short-circuit to a copy.
+    rates short-circuit to a copy; rates whose ratio the polyphase cap
+    rounds to 1/1 give a copy trimmed or zero-padded to that length.
     """
     target_rate = int(target_rate)
     if target_rate <= 0:
@@ -166,8 +167,10 @@ def resample(clip: AudioClip, target_rate: int) -> AudioClip:
     if max(frac.numerator, frac.denominator) > _MAX_POLYPHASE_FACTOR:
         frac = Fraction(target_rate, clip.sample_rate).limit_denominator(_MAX_POLYPHASE_FACTOR)
     up, down = frac.numerator, frac.denominator
-    h = _design_resample_kernel(up, down)
-    y = scipy.signal.resample_poly(clip.samples, up, down, window=h)
+    if up == down:  # the rates are nearer than the cap can tell: 1/1 is the best ratio it has
+        y = clip.samples.copy()
+    else:
+        y = scipy.signal.resample_poly(clip.samples, up, down, window=_design_resample_kernel(up, down))
     n_out = int(round(len(clip) * target_rate / clip.sample_rate))
     n_out = max(n_out, 1)
     if y.size < n_out:

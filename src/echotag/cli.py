@@ -40,7 +40,7 @@ import sys
 from concurrent.futures import ThreadPoolExecutor
 
 from .audio import DEFAULT_SAMPLE_RATE, load_audio, resample, save_audio
-from .detect import CSV_FIELDS, detect_single_echo, detect_spread
+from .detect import detect_single_echo, detect_spread
 from .embed import DEFAULT_SINGLE_ECHO_BAND, SpreadKey, embed
 from .evalrun import load_eval_config, run_evaluation
 from .keyfiles import (
@@ -67,6 +67,7 @@ AUDIO_FORMATS = ("pcm16", "float32")
 AUDIO_FORMAT = Kind("'pcm16' or 'float32'", lambda v: v in AUDIO_FORMATS)
 ENTRIES = Kind("a list of JSON objects",
                lambda v: isinstance(v, list) and all(isinstance(e, dict) for e in v))
+DETECT_CSV_FIELDS = ("clip_id", "key_id", "duration_seconds", "argmax_lag", "z_at_key", "degenerate")
 
 
 class CommandError(ValueError):
@@ -290,19 +291,19 @@ def cmd_detect(args) -> int:
     out_format = _format(args, "json", ("json", "csv"))
     key_name, key = _pick_key(load_key_file(args.key_file), args.key)
     clip = _canonicalize(load_audio(args.in_path), args.sample_rate, args.no_resample)
-    clip_id = os.path.basename(args.in_path)
     if isinstance(key, SpreadKey):
-        report = detect_spread(clip, key, enhanced=args.enhanced,
-                               clip_id=clip_id, key_id=key_name)
+        report = detect_spread(clip, key, enhanced=args.enhanced)
     else:
-        report = detect_single_echo(clip, band=tuple(args.band), key_lag=key.delta,
-                                    clip_id=clip_id, key_id=key_name)
+        report = detect_single_echo(clip, band=tuple(args.band), key_lag=key.delta)
+    row = {"clip_id": os.path.basename(args.in_path), "key_id": key_name,
+           "duration_seconds": clip.duration_seconds,
+           **report.to_dict(include_profile=args.full_profile)}
     if out_format == "json":
-        print(json.dumps(report.to_dict(include_profile=args.full_profile), sort_keys=True))
+        print(json.dumps(row, sort_keys=True))
     else:
-        writer = csv.DictWriter(sys.stdout, fieldnames=CSV_FIELDS, extrasaction="ignore")
+        writer = csv.DictWriter(sys.stdout, fieldnames=DETECT_CSV_FIELDS, extrasaction="ignore")
         writer.writeheader()
-        writer.writerow(report.to_dict(include_profile=False))
+        writer.writerow(row)
     return 0
 
 

@@ -39,8 +39,38 @@ PEAK_WINDOW_HALFWIDTH = 1
 
 SPREAD_BAND_START = 3
 SPREAD_EXCLUSION_HALFWIDTH = 3
+# zscore_profile scores a lag against the band less its +-3 window, which needs
+# 2 lags left over: the spread band [3, b] must reach this lag
+SPREAD_MIN_BAND_END = SPREAD_BAND_START + 2 * SPREAD_EXCLUSION_HALFWIDTH + 2
 
-CSV_FIELDS = ("clip_id", "key_id", "duration_seconds", "argmax_lag", "z_at_key", "degenerate")
+
+def scoring_length(key, band=DEFAULT_SINGLE_ECHO_BAND) -> int:
+    """Fewest samples a clip needs for `embed` and the key's detector to score it.
+
+    A spread key needs more than L + delta + 1 samples, and L + SPREAD_MIN_BAND_END
+    for its correlation to reach SPREAD_MIN_BAND_END. A single echo, scanned over
+    `band`, needs more than 2 * band[1] (the cepstrum mirrors about N/2). Raises a
+    ValueError that says why when no length can do.
+    """
+    if isinstance(key, SpreadKey):
+        if key.length + key.delta < SPREAD_MIN_BAND_END:
+            raise ValueError(f"spread band [{SPREAD_BAND_START}, L + delta] = [{SPREAD_BAND_START}, "
+                             f"{key.length + key.delta}] must reach lag {SPREAD_MIN_BAND_END} to be scored")
+        return key.length + max(key.delta + 2, SPREAD_MIN_BAND_END)
+    need = _single_echo_length(band)
+    if not band[0] <= key.delta <= band[1]:
+        raise ValueError(f"echo lag {key.delta} outside the scan band [{band[0]}, {band[1]}]")
+    return need
+
+
+def _single_echo_length(band) -> int:
+    """Fewest samples detect_single_echo scans `band` in."""
+    a, b = band
+    if a < 1:
+        raise ValueError(f"band must start at lag 1 or later; quefrency 0 is the log level, got {a}")
+    if b - a < 2:  # a lag is scored against the 2 or more others
+        raise ValueError(f"band [{a}, {b}] must hold at least 3 lags")
+    return 2 * b + 1
 
 
 @dataclass
@@ -100,20 +130,14 @@ def zscore_profile(values, band, halfwidth: int = 0, source: str = "cepstrum") -
 
 @dataclass
 class DetectionReport:
-    """Result of one detection run on one clip."""
+    """What one detection run measured on one clip; the caller names the clip and key."""
 
     profile: ZScoreProfile
     argmax_lag: int
     z_at_key: float | None = None
-    clip_id: str = ""
-    duration_seconds: float = 0.0
-    key_id: str = ""
 
     def to_dict(self, include_profile: bool = True) -> dict:
         out = {
-            "clip_id": self.clip_id,
-            "key_id": self.key_id,
-            "duration_seconds": self.duration_seconds,
             "argmax_lag": self.argmax_lag,
             "z_at_key": self.z_at_key,
             "degenerate": self.profile.degenerate,
@@ -127,8 +151,7 @@ class DetectionReport:
 
 
 def detect_single_echo(clip: AudioClip, band=DEFAULT_SINGLE_ECHO_BAND,
-                       key_lag: int | None = None, clip_id: str = "",
-                       key_id: str = "") -> DetectionReport:
+                       key_lag: int | None = None) -> DetectionReport:
     """Scan the whole-clip cepstrum for a single echo over the band.
 
     argmax_lag is the argmax of the plain exclusion z-score profile. When
@@ -146,27 +169,18 @@ def detect_single_echo(clip: AudioClip, band=DEFAULT_SINGLE_ECHO_BAND,
 
     z_at_key is read from the reported profile when key_lag is given.
     Requires band[0] >= 1 (quefrency 0 is the clip's log level, not an
-    echo) and len(clip) > 2*band[1].
+    echo), at least 3 lags in the band and len(clip) > 2*band[1].
     """
-    a, b = band
-    if a < 1:
-        raise ValueError(f"band must start at lag 1 or later; quefrency 0 is the log level, got {a}")
-    if len(clip) <= 2 * b:
-        raise ValueError(f"clip too short: need more than {2 * b} samples, got {len(clip)}")
+    need = _single_echo_length(band)
+    if len(clip) < need:
+        raise ValueError(f"clip too short: need at least {need} samples, got {len(clip)}")
     c = real_cepstrum(clip)
-    plain = zscore_profile(c, (a, b), halfwidth=0, source="cepstrum")
+    plain = zscore_profile(c, band, halfwidth=0, source="cepstrum")
     profile = plain
     if np.max(plain.z) >= RAHMONIC_CANCEL_Z:
         profile = _cancel_rahmonics(c, plain)
     z_at_key = profile.z_at(key_lag) if key_lag is not None else None
-    return DetectionReport(
-        profile=profile,
-        argmax_lag=plain.argmax_lag,
-        z_at_key=z_at_key,
-        clip_id=clip_id,
-        duration_seconds=clip.duration_seconds,
-        key_id=key_id,
-    )
+    return DetectionReport(profile=profile, argmax_lag=plain.argmax_lag, z_at_key=z_at_key)
 
 
 def _cancel_rahmonics(cepstrum: np.ndarray, plain: ZScoreProfile) -> ZScoreProfile:
@@ -206,31 +220,19 @@ def spread_profile(cepstrum: np.ndarray, template: np.ndarray, delta: int,
         source = "spread_correlation_enhanced"
     a = SPREAD_BAND_START
     b = min(len(template) + delta, cstar.size - 1)
-    if b <= a + 2 * SPREAD_EXCLUSION_HALFWIDTH:
-        raise ValueError("clip too short for any usable spread detection band")
     return zscore_profile(cstar, (a, b), halfwidth=SPREAD_EXCLUSION_HALFWIDTH, source=source)
 
 
-def detect_spread(clip: AudioClip, key: SpreadKey, enhanced: bool = False,
-                  clip_id: str = "", key_id: str = "") -> DetectionReport:
+def detect_spread(clip: AudioClip, key: SpreadKey, enhanced: bool = False) -> DetectionReport:
     """Score the clip's cepstrum against the key's template (see spread_profile).
 
-    z_at_key reports the score at the key's lag, or None when the band was
-    clamped below it.
+    The clip must hold scoring_length(key) samples. z_at_key reports the
+    score at the key's lag, or None when the key's lag is below the band.
     """
-    length, delta = key.length, key.delta
-    if len(clip) <= length + delta + 1:
-        raise ValueError(
-            f"clip too short: need more than {length + delta + 1} samples, got {len(clip)}"
-        )
-    profile = spread_profile(real_cepstrum(clip), key.template, delta, enhanced)
+    need = scoring_length(key)
+    if len(clip) < need:
+        raise ValueError(f"clip too short: need at least {need} samples, got {len(clip)}")
+    profile = spread_profile(real_cepstrum(clip), key.template, key.delta, enhanced)
     a, b = profile.band
-    z_at_key = profile.z_at(delta) if a <= delta <= b else None
-    return DetectionReport(
-        profile=profile,
-        argmax_lag=profile.argmax_lag,
-        z_at_key=z_at_key,
-        clip_id=clip_id,
-        duration_seconds=clip.duration_seconds,
-        key_id=key_id,
-    )
+    z_at_key = profile.z_at(key.delta) if a <= key.delta <= b else None
+    return DetectionReport(profile=profile, argmax_lag=profile.argmax_lag, z_at_key=z_at_key)

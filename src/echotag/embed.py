@@ -37,6 +37,10 @@ class EchoKey:
             raise ValueError(f"alpha must be in [0, 1), got {self.alpha}")
         object.__setattr__(self, "delta", int(self.delta))
 
+    @property
+    def label(self) -> str:
+        return f"single-d{self.delta}-a{self.alpha:g}"
+
 
 @dataclass(frozen=True, eq=False)
 class SpreadKey:
@@ -68,24 +72,16 @@ class SpreadKey:
         """The +-1 correlation template 2p - 1."""
         return 2.0 * self.pattern - 1.0
 
+    @property
+    def label(self) -> str:
+        return f"spread-d{self.delta}-L{self.length}-a{self.alpha:g}"
 
-def build_echo_kernel(key) -> np.ndarray:
-    """Convolution kernel equivalent of a key.
-
-    EchoKey -> [1, 0 x (delta-1), alpha]; SpreadKey -> length delta+L kernel
-    with a unit impulse at 0 and alpha*(2p-1) over [delta, delta+L).
-    """
-    if isinstance(key, EchoKey):
-        kernel = np.zeros(key.delta + 1)
+    def kernel(self) -> np.ndarray:
+        """Convolution kernel: a unit impulse at 0 and alpha*(2p-1) over [delta, delta+L)."""
+        kernel = np.zeros(self.delta + self.length)
         kernel[0] = 1.0
-        kernel[key.delta] = key.alpha
+        kernel[self.delta :] += self.alpha * self.template
         return kernel
-    if isinstance(key, SpreadKey):
-        kernel = np.zeros(key.delta + key.length)
-        kernel[0] = 1.0
-        kernel[key.delta :] += key.alpha * key.template
-        return kernel
-    raise TypeError(f"expected EchoKey or SpreadKey, got {type(key).__name__}")
 
 
 def embed_single_echo(clip: AudioClip, key: EchoKey) -> AudioClip:
@@ -101,7 +97,7 @@ def embed_single_echo(clip: AudioClip, key: EchoKey) -> AudioClip:
 
 
 def embed_spread(clip: AudioClip, key: SpreadKey) -> AudioClip:
-    """Embed a time-spread echo by convolving with the spread kernel.
+    """Embed a time-spread echo by convolving with key.kernel().
 
     Output is truncated to the input length.
     """
@@ -110,8 +106,7 @@ def embed_spread(clip: AudioClip, key: SpreadKey) -> AudioClip:
             f"spread kernel (length {key.delta + key.length}) must be shorter "
             f"than the clip (length {len(clip)})"
         )
-    kernel = build_echo_kernel(key)
-    out = convolve(clip, kernel)
+    out = convolve(clip, key.kernel())
     return AudioClip(out.samples[: len(clip)], clip.sample_rate)
 
 

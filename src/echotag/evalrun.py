@@ -3,9 +3,11 @@
 The config is JSON, read through `keyfiles.read_fields`: every problem in it,
 in the key file it names and in the corpus clips it matches (a clip that
 cannot be read, or is shorter than a segment), is reported at once in one
-ConfigError, before any output is written. Outputs are deterministic for a
-given config: stable row order, repr-formatted floats, sorted JSON keys, no
-timestamps.
+ConfigError, before any output is written. So is a key that no segment length
+can score (`detect.scoring_length`), and a `durations` or `bitflip_duration`
+segment that holds fewer samples than the key needs at a corpus clip's rate.
+Outputs are deterministic for a given config: stable row order,
+repr-formatted floats, sorted JSON keys, no timestamps.
 
 Config schema (version 1):
     {"version": 1, "seed": 0,                    # seeds are non-negative integers
@@ -30,12 +32,11 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .audio import atomic_output, load_audio
-from .detect import SPREAD_BAND_START
+from .detect import SPREAD_BAND_START, scoring_length
 from .embed import DEFAULT_SINGLE_ECHO_BAND, SpreadKey
 from .harness import (
     SEED,
     ChannelSpec,
-    key_label,
     median_z_by_duration,
     run_bitflip_curve,
     run_duration_sweep,
@@ -136,6 +137,21 @@ def load_eval_config(path) -> EvalConfig:
                 fields.problem(f"'flips' needs a spread key delta >= {SPREAD_BAND_START}, got {key.delta}")
         elif flips is not None and key is not None:
             fields.problem("'flips' requires a spread key")
+        segment_fields = [("durations", d) for d in durations or []]
+        if flips is not None and bitflip_duration is not None:
+            segment_fields.append(("bitflip_duration", bitflip_duration))
+        if key is not None and band is not None:
+            try:
+                need = scoring_length(key, band)
+            except ValueError as exc:
+                fields.problem(f"key {key_name!r}: {exc}")
+            else:
+                for rate in sorted({clip.sample_rate for _, clip in clips}):
+                    for name, seconds in segment_fields:
+                        n = round(seconds * rate)  # as harness cuts the segment
+                        if n < need:
+                            fields.problem(f"{name}: a {seconds}s segment holds {n} samples at {rate} Hz; "
+                                           f"key {key_name!r} needs at least {need}")
     return EvalConfig(
         corpus=clips,
         key_name=key_name,
@@ -186,7 +202,7 @@ def run_evaluation(config: EvalConfig) -> dict:
     summary = {
         "version": CONFIG_VERSION,
         "key": config.key_name,
-        "key_id": key_label(key),
+        "key_id": key.label,
         "channel": config.channel.to_dict(),
         "seed": config.seed,
         "duration_sweep": {
@@ -216,7 +232,7 @@ def run_evaluation(config: EvalConfig) -> dict:
                 "experiment": "bitflip_curve",
                 "clip_id": "",
                 "condition": "perturbed",
-                "key_id": key_label(key),
+                "key_id": key.label,
                 "duration_seconds": config.bitflip_duration,
                 "segment_index": None,
                 "flips": flips,

@@ -247,12 +247,6 @@ class SweepRow:
     degenerate: bool
 
 
-def key_label(key) -> str:
-    if isinstance(key, EchoKey):
-        return f"single-d{key.delta}-a{key.alpha:g}"
-    return f"spread-d{key.delta}-L{key.length}-a{key.alpha:g}"
-
-
 def _cells(corpus, durations, segments_per_clip: int, seed: int):
     """Yield (clip_id, duration, segment_index, salt, segment) for every
     experiment cell, in (clip, duration, segment) order.
@@ -286,7 +280,6 @@ def run_duration_sweep(corpus, key, durations, segments_per_clip: int,
     of execution order.
     """
     effective_key = scaled_key(key, echo_alpha_scale(channel))
-    kid = key_label(key)
     rows = []
     cells = _cells(corpus, durations, segments_per_clip, seed)
     for clip_id, duration, segment_index, salt, segment in cells:
@@ -304,7 +297,7 @@ def run_duration_sweep(corpus, key, durations, segments_per_clip: int,
                 condition=condition,
                 duration_seconds=float(duration),
                 segment_index=segment_index,
-                key_id=kid,
+                key_id=key.label,
                 argmax_lag=report.argmax_lag,
                 z_at_key=report.z_at_key,
                 degenerate=report.profile.degenerate,

@@ -73,8 +73,8 @@ def max_run_length(pattern) -> int:
     return int((last - first + 1).max())
 
 
-def is_run_valid(pattern, max_run: int = MAX_RUN) -> bool:
-    return max_run_length(pattern) <= max_run
+def is_run_valid(pattern) -> bool:
+    return max_run_length(pattern) <= MAX_RUN
 
 
 def generate_pattern(length: int, seed: int) -> np.ndarray:
@@ -114,15 +114,6 @@ def repair_runs(pattern) -> np.ndarray:
         bits[(first[too_long] + last[too_long]) // 2] ^= 1
     log.warning("run repair did not converge in %d sweeps", max_sweeps)
     return bits
-
-
-def hamming(pattern_a, pattern_b) -> int:
-    """Count of differing positions between two equal-length bit sequences."""
-    a = np.asarray(pattern_a)
-    b = np.asarray(pattern_b)
-    if a.size != b.size:
-        raise ValueError(f"length mismatch: {a.size} vs {b.size}")
-    return int(np.count_nonzero(a != b))
 
 
 def flip_bits(pattern, k: int, seed) -> np.ndarray:

@@ -1,8 +1,9 @@
 """Shared test utilities: seeded signal factories, a small music synth, and
 the loop versions that vectorized code is checked against: the scalar
 exclusion z-score for zscore_profile, the per-window payload decoder for
-decode_payload, and the bit-by-bit run scans and pairwise Hamming loop for
-patterns.max_run_length, repair_runs and PatternSet.distance_matrix.
+decode_payload, the bit-by-bit run scans and pairwise Hamming loop for
+patterns.max_run_length, repair_runs and PatternSet.distance_matrix, and the
+single-echo kernel that embed_single_echo must equal a convolution with.
 
 The synthetic music clips stand in for real corpus material: bass, chords,
 melody and percussion with per-note envelopes, deterministic per seed.
@@ -12,7 +13,7 @@ import numpy as np
 
 from echotag import AudioClip, real_cepstrum
 from echotag.detect import SIGMA_FLOOR
-from echotag.patterns import MAX_RUN, REPAIR_SWEEPS_PER_BIT, hamming
+from echotag.patterns import MAX_RUN, REPAIR_SWEEPS_PER_BIT
 
 SR = 44100
 
@@ -79,6 +80,15 @@ def repair_runs_loop(pattern) -> np.ndarray:
     return bits
 
 
+def hamming(pattern_a, pattern_b) -> int:
+    """Count of differing positions between two equal-length bit sequences."""
+    a = np.asarray(pattern_a)
+    b = np.asarray(pattern_b)
+    if a.size != b.size:
+        raise ValueError(f"length mismatch: {a.size} vs {b.size}")
+    return int(np.count_nonzero(a != b))
+
+
 def distance_matrix_loop(patterns) -> np.ndarray:
     """Pairwise Hamming distances, one pair at a time."""
     count = len(patterns)
@@ -87,6 +97,14 @@ def distance_matrix_loop(patterns) -> np.ndarray:
         for j in range(i + 1, count):
             m[i, j] = m[j, i] = hamming(patterns[i], patterns[j])
     return m
+
+
+def single_echo_kernel(key) -> np.ndarray:
+    """Convolution kernel of a single echo: [1, 0 x (delta-1), alpha]."""
+    kernel = np.zeros(key.delta + 1)
+    kernel[0] = 1.0
+    kernel[key.delta] = key.alpha
+    return kernel
 
 
 def noise_clip(seed, seconds=10.0, rate=SR, scale=0.1):

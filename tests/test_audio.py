@@ -188,6 +188,14 @@ class TestResample:
         out = resample(clip, 48000)
         assert len(out) == round(len(clip) * 48000 / SR)
 
+    def test_rates_near_the_source_rate(self):
+        # 44,095-44,105 Hz are nearer 44.1 kHz than the polyphase cap can tell
+        clip = noise_clip(2, seconds=1.0)
+        for target in range(44080, 44121):
+            out = resample(clip, target)
+            assert out.sample_rate == target
+            assert len(out) == round(len(clip) * target / SR)
+
     def test_echo_lag_scales_with_rate(self):
         # lag-100 echo upsampled by 1.25 lands at lag 125 (44.1k -> 55.125k)
         carrier = noise_clip(7, seconds=3.0, scale=1.0)

@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 
 import echotag
-from echotag import EchoKey, SpreadKey, generate_pattern, load_audio, save_audio, save_key_file
+from echotag import (EchoKey, SpreadKey, generate_pattern, load_audio, load_key_file, save_audio,
+                     save_key_file)
 from echotag.cli import main
 from echotag.keyfiles import bits_to_hex, load_pattern_set
 from helpers import SR, noise_clip
@@ -77,6 +78,14 @@ class TestEmbedDetect:
         assert report["argmax_lag"] == 75
         assert report["z_at_key"] > 5.0
         assert "z" not in report  # profile only with --full-profile
+
+    def test_detect_json_names_the_clip_and_key(self, keyfile, carrier_wav, capsys):
+        assert run_cli("detect", "--in", carrier_wav, "--key-file", keyfile,
+                       "--key", "echo50") == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["clip_id"] == "carrier.wav"
+        assert report["key_id"] == "echo50"
+        assert report["duration_seconds"] == 5.0
 
     def test_round_trip_all_canonical_echoes(self, tmp_path, keyfile, carrier_wav, capsys):
         for delta in (50, 75, 76, 100):
@@ -506,6 +515,30 @@ class TestEvaluate:
         config = eval_config(tmp_path, keyfile, key=key, flips=[0, 8], bitflip_duration=5.0)
         assert run_cli("evaluate", "--config", config) == 1
         assert f"  - {problem}\n" in capsys.readouterr().err
+        assert not (tmp_path / "results").exists()
+
+    @pytest.mark.parametrize("overrides, problem", [
+        ({"key": "pn0", "durations": [1, 0.01]},
+         "durations: a 0.01s segment holds 441 samples at 44100 Hz; key 'pn0' needs at least 1101"),
+        ({"durations": [1, 0.004]},
+         "durations: a 0.004s segment holds 176 samples at 44100 Hz; key 'echo75' needs at least 251"),
+        ({"key": "pn0", "flips": [0, 8], "bitflip_duration": 0.01},
+         "bitflip_duration: a 0.01s segment holds 441 samples at 44100 Hz; key 'pn0' needs at least 1101"),
+        ({"key": "echo150"}, "key 'echo150': echo lag 150 outside the scan band [25, 125]"),
+        ({"key": "pn_short"}, "key 'pn_short': spread band [3, L + delta] = [3, 3] must reach lag 11"),
+    ])
+    def test_segment_too_short_for_the_key_refused_before_any_work(
+            self, tmp_path, keyfile, capsys, monkeypatch, overrides, problem):
+        keys = load_key_file(keyfile)
+        keys.update(echo150=EchoKey(150), pn_short=SpreadKey(np.array([1, 0]), delta=1))
+        save_key_file(keys, keyfile)
+        monkeypatch.setattr("echotag.evalrun.run_duration_sweep", _work_that_must_not_run)
+        config = eval_config(tmp_path, keyfile, **overrides)
+        assert run_cli("evaluate", "--config", config) == 1
+        err = capsys.readouterr().err
+        assert err.count("echotag: error: invalid evaluate config") == 1
+        assert f"  - {problem}" in err
+        assert err.count("  - ") == 1
         assert not (tmp_path / "results").exists()
 
 

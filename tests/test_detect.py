@@ -13,6 +13,7 @@ from echotag import (
     SpreadKey,
     detect_single_echo,
     detect_spread,
+    embed,
     embed_single_echo,
     enhance_correlation,
     embed_spread,
@@ -22,10 +23,10 @@ from echotag import (
     zscore_profile,
 )
 from echotag.detect import (
-    CSV_FIELDS,
     RAHMONIC_CANCEL_Z,
     SPREAD_BAND_START,
     SPREAD_EXCLUSION_HALFWIDTH,
+    scoring_length,
     spread_profile,
 )
 from echotag.harness import apply_channel
@@ -325,11 +326,59 @@ class TestReportSerialization:
     def test_dict_and_csv_row(self):
         clip = noise_clip(80, seconds=5.0, scale=1.0)
         tagged = embed_single_echo(clip, EchoKey(75, 0.4))
-        report = detect_single_echo(tagged, key_lag=75, clip_id="c1", key_id="k1")
+        report = detect_single_echo(tagged, key_lag=75)
         d = report.to_dict()
-        assert d["clip_id"] == "c1" and d["key_id"] == "k1"
         assert d["argmax_lag"] == 75
         assert len(d["z"]) == 101
         row = report.to_dict(include_profile=False)
         assert "z" not in row
-        assert set(CSV_FIELDS) <= set(row)
+        assert {"argmax_lag", "z_at_key", "degenerate"} <= set(row)
+        assert not {"clip_id", "key_id", "duration_seconds"} & set(row)  # the caller's to add
+
+
+def embeds_and_scores(key, band, n) -> bool:
+    """Whether `embed` and then the key's detector succeed on an n-sample noise clip."""
+    try:
+        tagged = embed(AudioClip(np.random.default_rng(n).standard_normal(n), SR), key)
+        if isinstance(key, SpreadKey):
+            detect_spread(tagged, key)
+        else:
+            detect_single_echo(tagged, band=band, key_lag=key.delta)
+    except ValueError:
+        return False
+    return True
+
+
+class TestScoringLength:
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data(), spread=st.booleans(), length=st.integers(2, 64),
+           delta=st.integers(1, 40), a=st.integers(1, 129))
+    def test_says_yes_exactly_when_embed_and_detection_succeed(self, data, spread, length,
+                                                               delta, a):
+        band = (a, data.draw(st.integers(a + 1, 130), label="b"))
+        key = SpreadKey(generate_pattern(length, delta), delta=delta) if spread else EchoKey(delta)
+        try:
+            need = scoring_length(key, band)
+        except ValueError:
+            need = None  # no length can do
+        # every n within 3 of each length at which some detector condition turns
+        bounds = (2 * band[1] + 1, length + delta + 2, length + 11, 2 * length + delta + 40)
+        for n in sorted({x + k for x in bounds for k in range(-3, 4) if x + k >= 1}):
+            assert embeds_and_scores(key, band, n) == (need is not None and n >= need), n
+
+    def test_spread_bound(self):
+        # at 26 samples the band ends at lag 10, too few lags outside the +-3 window to score
+        key = SpreadKey(generate_pattern(16, 1), delta=1)
+        assert scoring_length(key) == 27
+        with pytest.raises(ValueError, match="need at least 27 samples, got 26"):
+            detect_spread(AudioClip(np.ones(26), SR), key)
+
+    @pytest.mark.parametrize("key, band, problem", [
+        (SpreadKey(generate_pattern(8, 0), delta=2), (25, 125), r"\[3, 10\] must reach lag 11"),
+        (EchoKey(150), (25, 125), "echo lag 150 outside the scan band"),
+        (EchoKey(25), (25, 26), "must hold at least 3 lags"),
+        (EchoKey(25), (0, 125), "lag 1 or later"),
+    ])
+    def test_no_length_can_do(self, key, band, problem):
+        with pytest.raises(ValueError, match=problem):
+            scoring_length(key, band)

@@ -5,7 +5,6 @@ from echotag import (
     AudioClip,
     EchoKey,
     SpreadKey,
-    build_echo_kernel,
     convolve,
     detect_spread,
     embed_single_echo,
@@ -14,7 +13,7 @@ from echotag import (
     real_cepstrum,
 )
 from echotag.embed import scaled_key
-from helpers import SR, noise_clip
+from helpers import SR, noise_clip, single_echo_kernel
 
 
 class TestKeys:
@@ -35,6 +34,10 @@ class TestKeys:
         key = SpreadKey(generate_pattern(1024, 0))
         assert key.alpha == 0.01 and key.delta == 75 and key.length == 1024
 
+    def test_labels(self):
+        assert EchoKey(75, 0.4).label == "single-d75-a0.4"
+        assert SpreadKey(generate_pattern(1024, 0)).label == "spread-d75-L1024-a0.01"
+
     def test_scaled_key(self):
         key = scaled_key(EchoKey(75, 0.4), 0.5)
         assert key.alpha == pytest.approx(0.2)
@@ -43,17 +46,17 @@ class TestKeys:
 
 class TestKernels:
     def test_single_echo_kernel(self):
-        assert np.array_equal(build_echo_kernel(EchoKey(2, 0.4)), [1.0, 0.0, 0.4])
+        assert np.array_equal(single_echo_kernel(EchoKey(2, 0.4)), [1.0, 0.0, 0.4])
 
     def test_spread_kernel_two_bits(self):
         key = SpreadKey(np.array([1, 0]), alpha=0.01, delta=1)
-        assert np.allclose(build_echo_kernel(key), [1.0, 0.01, -0.01])
+        assert np.allclose(key.kernel(), [1.0, 0.01, -0.01])
 
     def test_kernel_is_impulse_response(self):
         impulse = np.zeros(2000)
         impulse[0] = 1.0
         for key in (EchoKey(50), SpreadKey(generate_pattern(256, 1), delta=30)):
-            kernel = build_echo_kernel(key)
+            kernel = single_echo_kernel(key) if isinstance(key, EchoKey) else key.kernel()
             out = convolve(AudioClip(impulse, SR), kernel).samples
             assert np.allclose(out[: len(kernel)], kernel, atol=1e-12)
             assert np.allclose(out[len(kernel):], 0.0, atol=1e-12)
@@ -91,7 +94,7 @@ class TestEmbedSingleEcho:
         clip = noise_clip(22, seconds=0.5)
         key = EchoKey(76, 0.4)
         direct = embed_single_echo(clip, key).samples
-        via_kernel = convolve(clip, build_echo_kernel(key)).samples[: len(clip)]
+        via_kernel = convolve(clip, single_echo_kernel(key)).samples[: len(clip)]
         assert np.max(np.abs(direct - via_kernel)) <= 1e-9
 
     def test_linear_in_carrier(self):
@@ -118,7 +121,7 @@ class TestEmbedSpread:
         x[0] = 1.0
         key = SpreadKey(generate_pattern(1024, 3))
         out = embed_spread(AudioClip(x, SR), key)
-        kernel = build_echo_kernel(key)
+        kernel = key.kernel()
         assert len(out) == 3000
         assert np.allclose(out.samples[: len(kernel)], kernel, atol=1e-9)
 

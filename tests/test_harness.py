@@ -17,7 +17,7 @@ from echotag import (
     run_bitflip_curve,
     run_duration_sweep,
 )
-from echotag.harness import echo_alpha_scale, key_label, median_z_by_duration
+from echotag.harness import echo_alpha_scale, median_z_by_duration
 from helpers import SR, noise_clip
 
 
@@ -270,9 +270,3 @@ class TestAttenuationTrend:
             aurocs.append(roc(true_scores, clean_scores).auroc)
         assert all(a >= b - 1e-12 for a, b in zip(aurocs, aurocs[1:])), aurocs
         assert aurocs[0] > aurocs[-1] or aurocs[0] == 1.0
-
-
-class TestKeyLabel:
-    def test_labels(self):
-        assert key_label(EchoKey(75, 0.4)) == "single-d75-a0.4"
-        assert key_label(SpreadKey(generate_pattern(1024, 0))) == "spread-d75-L1024-a0.01"

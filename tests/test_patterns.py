@@ -12,11 +12,10 @@ from echotag import (
     flip_bits,
     generate_pattern,
     generate_pattern_set,
-    hamming,
 )
 from echotag.keyfiles import bits_to_hex
 from echotag.patterns import is_run_valid, max_run_length, repair_runs, validate_pattern_set
-from helpers import distance_matrix_loop, max_run_length_loop, repair_runs_loop
+from helpers import distance_matrix_loop, hamming, max_run_length_loop, repair_runs_loop
 
 # frozen output of generate_pattern_set(8, 1024, 1); regenerate only on a
 # deliberate generator version bump
