@@ -151,10 +151,15 @@ def _design_resample_kernel(up: int, down: int) -> np.ndarray:
     return scipy.signal.firwin(n_taps, 1.0 / m, window=("kaiser", RESAMPLE_KAISER_BETA))
 
 
+def resampled_length(n: int, rate: int, target_rate: int) -> int:
+    """Samples resample returns for n samples at rate: round(n * target_rate / rate), at least 1."""
+    return max(int(round(n * target_rate / rate)), 1)
+
+
 def resample(clip: AudioClip, target_rate: int) -> AudioClip:
     """Band-limited polyphase resampling to target_rate.
 
-    Output length is round(len(clip) * target_rate / sample_rate). Equal
+    Output length is resampled_length(len(clip), sample_rate, target_rate). Equal
     rates short-circuit to a copy; rates whose ratio the polyphase cap
     rounds to 1/1 give a copy trimmed or zero-padded to that length.
     """
@@ -171,8 +176,7 @@ def resample(clip: AudioClip, target_rate: int) -> AudioClip:
         y = clip.samples.copy()
     else:
         y = scipy.signal.resample_poly(clip.samples, up, down, window=_design_resample_kernel(up, down))
-    n_out = int(round(len(clip) * target_rate / clip.sample_rate))
-    n_out = max(n_out, 1)
+    n_out = resampled_length(len(clip), clip.sample_rate, target_rate)
     if y.size < n_out:
         y = np.pad(y, (0, n_out - y.size))
     return AudioClip(y[:n_out], target_rate)

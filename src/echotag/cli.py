@@ -126,10 +126,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", dest="out_path", default=None, help="output file (encode)")
     p.add_argument("--bits", default=None, help="payload hex string, MSB-first (encode)")
     p.add_argument("--n-bits", type=int, default=None, help="payload bit count")
-    p.add_argument("--delta0", type=int, default=50)
-    p.add_argument("--delta1", type=int, default=100)
-    p.add_argument("--alpha", type=float, default=0.4)
-    p.add_argument("--window", type=int, default=1024)
+    p.add_argument("--delta0", type=int, default=PayloadConfig.delta0)
+    p.add_argument("--delta1", type=int, default=PayloadConfig.delta1)
+    p.add_argument("--alpha", type=float, default=PayloadConfig.alpha)
+    p.add_argument("--window", type=int, default=PayloadConfig.window)
     p.set_defaults(func=cmd_payload)
 
     p = sub.add_parser("evaluate", help="run a config-driven evaluation")
@@ -172,12 +172,6 @@ def _canonicalize(clip, target_rate, no_resample):
 def cmd_gen_patterns(args) -> int:
     _require_out_dir(args.out)
     ps = generate_pattern_set(args.count, args.length, args.seed)
-    if not ps.converged:
-        # nothing is written unless the spread targets were reached
-        raise CommandError(
-            f"pattern generation did not reach the distance-spread targets "
-            f"(count={args.count}, length={args.length}, seed={args.seed}); try another seed"
-        )
     save_pattern_set(ps, args.out)
     distances = sorted(ps.pairwise_distances().tolist())
     print(json.dumps({
@@ -350,6 +344,8 @@ def main(argv=None) -> int:
             raise CommandError(f"--seed must be a non-negative integer, got {args.seed}")
         if args.jobs < 1:
             raise CommandError(f"--jobs must be at least 1, got {args.jobs}")
+        if args.sample_rate < 1:
+            raise CommandError(f"--sample-rate must be a positive integer, got {args.sample_rate}")
         return args.func(args)
     except (OSError, ValueError) as exc:  # CommandError and ConfigError are ValueErrors
         log.debug("%s failed", args.command, exc_info=True)

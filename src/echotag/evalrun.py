@@ -5,7 +5,8 @@ in the key file it names and in the corpus clips it matches (a clip that
 cannot be read, or is shorter than a segment), is reported at once in one
 ConfigError, before any output is written. So is a key that no segment length
 can score (`detect.scoring_length`), and a `durations` or `bitflip_duration`
-segment that holds fewer samples than the key needs at a corpus clip's rate.
+segment that holds fewer samples than the key needs at a corpus clip's rate,
+as cut (round(seconds * rate)) or after a pitch-shift channel shortens it.
 Outputs are deterministic for a given config: stable row order,
 repr-formatted floats, sorted JSON keys, no timestamps.
 
@@ -37,6 +38,7 @@ from .embed import DEFAULT_SINGLE_ECHO_BAND, SpreadKey
 from .harness import (
     SEED,
     ChannelSpec,
+    channel_length_bound,
     median_z_by_duration,
     run_bitflip_curve,
     run_duration_sweep,
@@ -60,8 +62,10 @@ RESULTS_FIELDS = (
     "segment_index", "flips", "argmax_lag", "z_at_key", "degenerate",
 )
 
-SECONDS = Kind("positive seconds", lambda v: NUMBER.ok(v) and v > 0)
-DURATIONS = Kind("a non-empty list of positive seconds",
+# no WAV clip lasts longer (under 2**32 samples, at 1 Hz or more); round(seconds * rate) stays finite
+MAX_SECONDS = 2**32
+SECONDS = Kind(f"positive seconds, at most {MAX_SECONDS}", lambda v: NUMBER.ok(v) and 0 < v <= MAX_SECONDS)
+DURATIONS = Kind(f"a non-empty list of {SECONDS.want}",
                  lambda v: isinstance(v, list) and v != [] and all(SECONDS.ok(d) for d in v))
 BAND = Kind("[a, b] with integers 1 <= a < b",
             lambda v: (isinstance(v, list) and len(v) == 2 and all(INTEGER.ok(x) for x in v)
@@ -106,6 +110,7 @@ def load_eval_config(path) -> EvalConfig:
             channel = ChannelSpec.from_dict(channel or {})
         except ValueError as exc:
             fields.problem(f"channel: {exc}")
+            channel = ChannelSpec()  # the config is refused; check the segments as cut
         key = None
         if keys is not None and key_name is not None:
             key = keys.get(key_name)
@@ -126,7 +131,7 @@ def load_eval_config(path) -> EvalConfig:
             except (OSError, ValueError) as exc:
                 fields.problem(f"corpus: {exc}")  # load_audio's message names the file
                 continue
-            if clip.duration_seconds < longest:
+            if round(longest * clip.sample_rate) > len(clip):  # as harness cuts the segment
                 fields.problem(f"corpus clip {clip_path!r} lasts {clip.duration_seconds:.2f}s, "
                                f"shorter than the {longest}s segments it must hold")
             clips.append((os.path.basename(clip_path), clip))
@@ -149,9 +154,11 @@ def load_eval_config(path) -> EvalConfig:
                 for rate in sorted({clip.sample_rate for _, clip in clips}):
                     for name, seconds in segment_fields:
                         n = round(seconds * rate)  # as harness cuts the segment
-                        if n < need:
-                            fields.problem(f"{name}: a {seconds}s segment holds {n} samples at {rate} Hz; "
-                                           f"key {key_name!r} needs at least {need}")
+                        m = channel_length_bound(channel, n, rate)
+                        if min(n, m) < need:
+                            after = f", {m} after the channel" if m < n else ""
+                            fields.problem(f"{name}: a {seconds}s segment holds {n} samples at {rate} Hz"
+                                           f"{after}; key {key_name!r} needs at least {need}")
     return EvalConfig(
         corpus=clips,
         key_name=key_name,

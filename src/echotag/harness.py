@@ -16,20 +16,17 @@ and its noise salt from one generator.
 from __future__ import annotations
 
 import itertools
-import logging
 import reprlib
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .audio import AudioClip, mix, resample
+from .audio import AudioClip, mix, resample, resampled_length
 from .detect import detect_single_echo, detect_spread, spread_profile
 from .dsp import real_cepstrum
 from .embed import DEFAULT_SINGLE_ECHO_BAND, EchoKey, SpreadKey, embed, scaled_key
 from .keyfiles import INTEGER, NUMBER, JsonFields, Kind
 from .patterns import flip_bits
-
-log = logging.getLogger(__name__)
 
 # salt decorrelates the noise drawn by sibling stages of a composite channel
 _SALT_STRIDE = 1000003
@@ -188,11 +185,31 @@ def apply_channel(clip: AudioClip, spec: ChannelSpec, salt: int = 0) -> AudioCli
     raise ValueError(f"unknown channel kind {kind!r}")
 
 
+def _pitched_rate(rate: int, factor: float) -> int:
+    return int(round(rate / factor))
+
+
 def _pitch_shift(clip: AudioClip, factor: float) -> AudioClip:
     # pitch up by `factor` = resample to rate/factor, reinterpret at the old
     # rate: duration and echo lags scale by 1/factor
-    shifted = resample(clip, int(round(clip.sample_rate / factor)))
+    shifted = resample(clip, _pitched_rate(clip.sample_rate, factor))
     return AudioClip(shifted.samples, clip.sample_rate)
+
+
+def channel_length_bound(spec: ChannelSpec, n: int, rate: int) -> int:
+    """A lower bound, whatever the salt, on the samples apply_channel returns for
+    an n-sample clip at `rate`: only pitch shifts change the length, and a larger
+    factor leaves fewer samples. Each bound grows with n, so composites fold them."""
+    if spec.kind == "composite":
+        for stage in spec.stages:
+            n = channel_length_bound(stage, n, rate)
+        return n
+    if spec.kind == "resample_factor":
+        return resampled_length(n, rate, _pitched_rate(rate, spec.factor))
+    if spec.kind == "random_resample" and spec.probability > 0:
+        shifted = resampled_length(n, rate, _pitched_rate(rate, spec.high))
+        return shifted if spec.probability == 1 else min(n, shifted)
+    return n
 
 
 # ---------------------------------------------------------------------------

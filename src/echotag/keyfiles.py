@@ -14,7 +14,7 @@ Key file:
 
 Pattern-set file:
     {"version": 1, "count": 8, "length": 1024, "seed": 1, "generator": 1,
-     "converged": true, "patterns": ["<hex>", ...],
+     "converged": true, "patterns": ["<hex>", ...],       # converged: true or left out
      "distance_matrix": [[0, ...], ...]}
 """
 
@@ -226,7 +226,7 @@ def save_pattern_set(ps: PatternSet, path) -> None:
         "count": ps.count,
         "length": ps.length,
         "seed": ps.seed,
-        "converged": ps.converged,
+        "converged": True,  # generate_pattern_set raises rather than return a set that misses the rule
         "patterns": [bits_to_hex(p) for p in ps.patterns],
         "distance_matrix": ps.distance_matrix.tolist(),
     }
@@ -234,14 +234,15 @@ def save_pattern_set(ps: PatternSet, path) -> None:
 
 
 def load_pattern_set(path) -> PatternSet:
-    """Read a pattern-set file; one ConfigError lists every problem in it, rule breaks included."""
+    """Read a pattern-set file; one ConfigError lists every problem in it, rule breaks
+    included. The rule always applies: a file cannot turn it off with "converged": false."""
     with read_fields(path, "pattern-set file", PATTERN_FILE_VERSION) as fields:
         length = fields.get("length", POSITIVE_INTEGER)
         patterns = fields.get("patterns", Kind("a list of hex strings", lambda v: (
             isinstance(v, list) and all(isinstance(h, str) for h in v))))
         seed = fields.get("seed", INTEGER)
         distances = fields.get("distance_matrix", Kind("a matrix of integers", lambda v: isinstance(v, list)))
-        converged = fields.get("converged", BOOLEAN, True)
+        fields.get("converged", Kind("true", lambda v: v is True), True)
         pattern_set = None
         if not fields.problems:
             try:
@@ -249,7 +250,7 @@ def load_pattern_set(path) -> PatternSet:
             except ValueError as exc:
                 fields.problem(f"bad pattern bits: {exc}")
             else:
-                pattern_set = PatternSet(bits, seed, converged)
+                pattern_set = PatternSet(bits, seed)
                 for problem in validate_pattern_set(pattern_set):
                     fields.problem(problem)
                 # with no patterns there is no matrix to derive; the rule has refused the set

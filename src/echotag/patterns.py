@@ -2,39 +2,30 @@
 
 The pattern-set rule, checked by validate_pattern_set: at least 2 patterns of
 one length L; no run of more than MAX_RUN = 2 equal bits (this pushes the
-audible energy of the perturbation toward high frequencies); and, in a
-converged set, pairwise Hamming distances that spread across (0, L) instead of
-clustering near L/2 the way i.i.d. patterns would: the smallest is at least
-L/(2*count), and sorted, between end points 0 and L, no gap exceeds 2L/count.
+audible energy of the perturbation toward high frequencies); and pairwise
+Hamming distances that spread across (0, L) instead of clustering near L/2 the
+way i.i.d. patterns would: the smallest is at least L/(2*count), and sorted,
+between end points 0 and L, no gap exceeds 2L/count. A set either meets the
+rule or is refused: generate_pattern_set raises when its tries run out.
 """
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass
 
 import numpy as np
 
-log = logging.getLogger(__name__)
-
 MAX_RUN = 2
-# sweeps of repair_runs per pattern bit; in practice one or two suffice
-REPAIR_SWEEPS_PER_BIT = 10
 # attempts generate_pattern_set makes at the distance-spread targets
 PATTERN_SET_TRIES = 1000
 
 
 @dataclass
 class PatternSet:
-    """A family of equal-length binary patterns.
-
-    converged is False when the spread-acceptance loop ran out of retries and
-    the best-found set was kept.
-    """
+    """A family of equal-length binary patterns."""
 
     patterns: list
     seed: int
-    converged: bool = True
 
     def __post_init__(self):
         self.patterns = [np.asarray(p, dtype=np.uint8) for p in self.patterns]
@@ -102,18 +93,18 @@ def repair_runs(pattern) -> np.ndarray:
     """Flip the middle bit of every run longer than two until none remain.
 
     A sweep flips every long run found at its start: a middle bit lies inside
-    its run, so no flip changes another run of the sweep.
+    its run, so no flip changes another run of the sweep. The loop ends: the
+    middle bit of a run of r >= 3 lies strictly inside it, so one sweep splits
+    that run into runs of at most r // 2, and within log2(L) + 1 sweeps no run
+    is longer than two.
     """
     bits = np.asarray(pattern, dtype=np.uint8).copy()
-    max_sweeps = REPAIR_SWEEPS_PER_BIT * bits.size
-    for _ in range(max_sweeps):
+    while True:
         first, last = _runs(bits)
         too_long = last - first + 1 > MAX_RUN
         if not too_long.any():
             return bits
         bits[(first[too_long] + last[too_long]) // 2] ^= 1
-    log.warning("run repair did not converge in %d sweeps", max_sweeps)
-    return bits
 
 
 def flip_bits(pattern, k: int, seed) -> np.ndarray:
@@ -138,17 +129,13 @@ def generate_pattern_set(count: int, length: int, seed: int) -> PatternSet:
     Pattern 0 comes from generate_pattern; the others flip nested random
     position sets of increasing size (targets i*L/count), then repair runs.
     Returns the first try that meets the pattern-set rule (module docstring);
-    if the retry budget runs out, the try with the smallest largest gap is
-    returned with converged=False.
+    raises ValueError when PATTERN_SET_TRIES tries have all failed.
     """
     if count < 2:
         raise ValueError(f"need at least 2 patterns for a distance spread, got {count}")
     base = generate_pattern(length, seed)
     rng = np.random.default_rng([seed, 1])
     targets = [round(i * length / count) for i in range(1, count)]
-
-    best = None
-    best_gap = np.inf
     for _ in range(PATTERN_SET_TRIES):
         perm = rng.permutation(length)
         patterns = [base]
@@ -157,36 +144,21 @@ def generate_pattern_set(count: int, length: int, seed: int) -> PatternSet:
             flipped[perm[:t]] ^= 1
             patterns.append(repair_runs(flipped))
         candidate = PatternSet(patterns, seed)
-        problems, worst_gap = _check(candidate)
-        if not problems:
+        if not validate_pattern_set(candidate):
             return candidate
-        if worst_gap < best_gap:
-            best, best_gap = candidate, worst_gap
-    log.warning(
-        "pattern set (count=%d, L=%d, seed=%d) did not meet spread targets in %d tries; "
-        "returning best found (max gap %d)",
-        count, length, seed, PATTERN_SET_TRIES, best_gap,
-    )
-    return PatternSet(best.patterns, seed, converged=False)
+    raise ValueError(f"pattern generation did not reach the distance-spread targets "
+                     f"(count={count}, length={length}, seed={seed}); try another seed")
 
 
 def validate_pattern_set(ps: PatternSet) -> list:
     """Every way `ps` breaks the pattern-set rule (module docstring); empty when it holds."""
-    return _check(ps)[0]
-
-
-def _check(ps: PatternSet) -> tuple[list, int]:
-    """validate_pattern_set's problems, and the distance spread's largest gap (0 when
-    unchecked), by which generate_pattern_set ranks the tries it rejects."""
     if ps.count < 2:
-        return [f"a pattern set needs at least 2 patterns, got {ps.count}"], 0
+        return [f"a pattern set needs at least 2 patterns, got {ps.count}"]
     lengths = sorted({p.size for p in ps.patterns})
     if len(lengths) > 1:
-        return [f"patterns have mixed lengths {lengths}"], 0
+        return [f"patterns have mixed lengths {lengths}"]
     problems = [f"pattern {i} has a run longer than {MAX_RUN}"
                 for i, p in enumerate(ps.patterns) if not is_run_valid(p)]
-    if not ps.converged:
-        return problems, 0
     distances = ps.pairwise_distances()
     min_distance = ps.length / (2 * ps.count)
     max_gap = 2 * ps.length / ps.count
@@ -196,4 +168,4 @@ def _check(ps: PatternSet) -> tuple[list, int]:
         problems.append(f"minimum pairwise distance {distances.min()} below {min_distance:g}")
     if worst_gap > max_gap:
         problems.append(f"largest gap {worst_gap} between sorted distances above {max_gap:g}")
-    return problems, worst_gap
+    return problems

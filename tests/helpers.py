@@ -13,7 +13,7 @@ import numpy as np
 
 from echotag import AudioClip, real_cepstrum
 from echotag.detect import SIGMA_FLOOR
-from echotag.patterns import MAX_RUN, REPAIR_SWEEPS_PER_BIT
+from echotag.patterns import MAX_RUN
 
 SR = 44100
 
@@ -61,10 +61,14 @@ def max_run_length_loop(pattern) -> int:
 
 
 def repair_runs_loop(pattern) -> np.ndarray:
-    """repair_runs walking each sweep's runs left to right, one bit at a time."""
+    """repair_runs walking each sweep's runs left to right, one bit at a time.
+
+    Bounded by L sweeps, at least the log2(L) + 1 that repair_runs' termination
+    argument allows, so a wrong argument fails a comparison instead of hanging it.
+    """
     bits = np.asarray(pattern, dtype=np.uint8).copy()
     n = bits.size
-    for _ in range(REPAIR_SWEEPS_PER_BIT * n):
+    for _ in range(n):
         changed = False
         i = 0
         while i < n:
@@ -77,7 +81,7 @@ def repair_runs_loop(pattern) -> np.ndarray:
             i = j + 1
         if not changed:
             return bits
-    return bits
+    raise AssertionError(f"run repair still changing bits after {n} sweeps")
 
 
 def hamming(pattern_a, pattern_b) -> int:

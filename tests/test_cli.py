@@ -7,10 +7,11 @@ import numpy as np
 import pytest
 
 import echotag
-from echotag import (EchoKey, SpreadKey, generate_pattern, load_audio, load_key_file, save_audio,
-                     save_key_file)
+from echotag import (AudioClip, EchoKey, SpreadKey, generate_pattern, load_audio, load_key_file,
+                     save_audio, save_key_file)
 from echotag.cli import main
-from echotag.keyfiles import bits_to_hex, load_pattern_set
+from echotag.evalrun import load_eval_config
+from echotag.keyfiles import ConfigError, bits_to_hex, load_pattern_set
 from helpers import SR, noise_clip
 
 
@@ -34,6 +35,20 @@ def carrier_wav(tmp_path):
 
 def run_cli(*argv):
     return main([str(a) for a in argv])
+
+
+def run_cli_process(*argv):
+    """Run the CLI in a fresh interpreter, so that logging is configured as it is for a user."""
+    src = os.path.dirname(os.path.dirname(echotag.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    return subprocess.run([sys.executable, "-m", "echotag.cli", *map(str, argv)],
+                          capture_output=True, text=True, env=env, timeout=300)
+
+
+def save_noise(path, rate, seconds=5.0, seed=7):
+    rng = np.random.default_rng(seed)
+    save_audio(AudioClip(rng.standard_normal(int(rate * seconds)), rate), path, format="float32")
+    return path
 
 
 class TestGenPatterns:
@@ -64,6 +79,15 @@ class TestGenPatterns:
         assert run_cli("gen-patterns", "--count", 1, "--out", out) == 1
         assert not out.exists()
         assert "at least 2" in capsys.readouterr().err
+
+    def test_spread_targets_missed_is_one_error_line(self, tmp_path):
+        out = tmp_path / "ps.json"
+        proc = run_cli_process("gen-patterns", "--count", 8, "--length", 4, "--out", out)
+        assert proc.returncode == 1
+        assert proc.stderr.splitlines() == [
+            "echotag: error: pattern generation did not reach the distance-spread targets "
+            "(count=8, length=4, seed=0); try another seed"]
+        assert not out.exists()
 
 
 class TestEmbedDetect:
@@ -188,10 +212,7 @@ class TestEmbedDetect:
         assert abs(report["z_at_key"]) < 5.0
 
     def test_resample_canonicalizes(self, tmp_path, keyfile, capsys):
-        rng = np.random.default_rng(7)
-        from echotag import AudioClip
-        hi = tmp_path / "hi.wav"
-        save_audio(AudioClip(rng.standard_normal(48000 * 5), 48000), hi, format="float32")
+        hi = save_noise(tmp_path / "hi.wav", 48000)
         tagged = tmp_path / "tagged.wav"
         assert run_cli("embed", "--in", hi, "--out", tagged,
                        "--key-file", keyfile, "--key", "echo75") == 0
@@ -199,6 +220,26 @@ class TestEmbedDetect:
         capsys.readouterr()
         assert run_cli("detect", "--in", tagged, "--key-file", keyfile, "--key", "echo75") == 0
         assert json.loads(capsys.readouterr().out)["argmax_lag"] == 75
+
+    def test_no_resample_keeps_the_native_rate(self, tmp_path, keyfile, capsys):
+        hi = save_noise(tmp_path / "hi.wav", 48000)
+        tagged = tmp_path / "tagged.wav"
+        assert run_cli("embed", "--no-resample", "--in", hi, "--out", tagged,
+                       "--key-file", keyfile, "--key", "echo75") == 0
+        assert load_audio(tagged).sample_rate == 48000
+        capsys.readouterr()
+        lags = {}
+        for flags in (["--no-resample"], []):
+            assert run_cli("detect", *flags, "--in", tagged, "--key-file", keyfile, "--key", "echo75") == 0
+            lags[tuple(flags)] = json.loads(capsys.readouterr().out)["argmax_lag"]
+        # resampled to 44.1 kHz, the echo moves to 75 * 44100 / 48000 = 68.9 samples
+        assert lags == {("--no-resample",): 75, (): 69}
+
+    def test_sample_rate_sets_the_canonical_rate(self, tmp_path, keyfile, carrier_wav):
+        tagged = tmp_path / "tagged.wav"
+        assert run_cli("--sample-rate", 48000, "embed", "--in", carrier_wav, "--out", tagged,
+                       "--key-file", keyfile, "--key", "echo75") == 0
+        assert load_audio(tagged).sample_rate == 48000
 
 
 class TestTagDataset:
@@ -258,6 +299,14 @@ class TestTagDataset:
             assert run_cli("--jobs", jobs, "tag-dataset", "--manifest", manifest) == 1
             assert f"--jobs must be at least 1, got {jobs}" in capsys.readouterr().err
             assert not (tmp_path / "out").exists()
+
+    def test_resample_false_keeps_the_native_rate(self, tmp_path, keyfile, capsys):
+        os.makedirs(tmp_path / "in")
+        save_noise(tmp_path / "in" / "hi.wav", 48000, seconds=3.0)
+        entries = [{"input": "hi.wav", "key": "echo75"}]
+        assert run_cli("tag-dataset", "--manifest",
+                       self._write_manifest(tmp_path, keyfile, entries, resample=False)) == 0
+        assert load_audio(tmp_path / "out" / "hi.wav").sample_rate == 48000
 
     def test_output_collision_rejected_before_writes(self, tmp_path, keyfile, capsys):
         self._make_corpus(tmp_path, ["a.wav"])
@@ -478,6 +527,30 @@ class TestEvaluate:
         assert f"corpus clip {str(short / 'c.wav')!r} lasts 2.00s, shorter than the 5s" in err
         assert not (tmp_path / "results").exists()
 
+    @pytest.mark.parametrize("samples, durations, refused", [
+        (88200, [2.00001], False),  # cut as round(2.00001 * 44100) = 88,200 samples
+        (88199, [2.0], True),
+    ])
+    def test_clip_length_checked_in_samples(self, tmp_path, keyfile, samples, durations, refused):
+        exact = tmp_path / "exact"
+        os.makedirs(exact)
+        save_audio(noise_clip(403, seconds=samples / SR, scale=1.0), exact / "c.wav", format="float32")
+        config = eval_config(tmp_path, keyfile, corpus=str(exact / "*.wav"), durations=durations)
+        if refused:
+            with pytest.raises(ConfigError, match="lasts 2.00s, shorter than the 2.0s segments"):
+                load_eval_config(config)
+        else:
+            assert len(load_eval_config(config).corpus[0][1]) == samples
+
+    def test_seconds_too_large_to_count_in_samples_refused(self, tmp_path, keyfile):
+        config = eval_config(tmp_path, keyfile, key="pn0", durations=[1e300], flips=[0],
+                             bitflip_duration=4.076401666354458e+303)
+        with pytest.raises(ConfigError) as info:
+            load_eval_config(config)
+        assert info.value.problems == [
+            "'durations' must be a non-empty list of positive seconds, at most 4294967296, got [1e+300]",
+            "'bitflip_duration' must be positive seconds, at most 4294967296, got 4.076401666354458e+303"]
+
     def test_corpus_file_that_is_not_audio_rejected(self, tmp_path, keyfile, capsys):
         text = tmp_path / "text"
         os.makedirs(text)
@@ -524,6 +597,16 @@ class TestEvaluate:
          "durations: a 0.004s segment holds 176 samples at 44100 Hz; key 'echo75' needs at least 251"),
         ({"key": "pn0", "flips": [0, 8], "bitflip_duration": 0.01},
          "bitflip_duration: a 0.01s segment holds 441 samples at 44100 Hz; key 'pn0' needs at least 1101"),
+        ({"durations": [0.006], "channel": {"kind": "resample_factor", "factor": 2}},
+         "durations: a 0.006s segment holds 265 samples at 44100 Hz, 132 after the channel; "
+         "key 'echo75' needs at least 251"),
+        ({"durations": [0.006],
+          "channel": {"kind": "random_resample", "probability": 1, "low": 1.9, "high": 2}},
+         "durations: a 0.006s segment holds 265 samples at 44100 Hz, 132 after the channel; "
+         "key 'echo75' needs at least 251"),
+        # a channel that lengthens the segment cannot let a too-short cut pass
+        ({"durations": [1, 0.004], "channel": {"kind": "resample_factor", "factor": 0.5}},
+         "durations: a 0.004s segment holds 176 samples at 44100 Hz; key 'echo75' needs at least 251"),
         ({"key": "echo150"}, "key 'echo150': echo lag 150 outside the scan band [25, 125]"),
         ({"key": "pn_short"}, "key 'pn_short': spread band [3, L + delta] = [3, 3] must reach lag 11"),
     ])
@@ -598,15 +681,38 @@ def test_unwritable_output_fails_with_one_message(tmp_path, keyfile, carrier_wav
 
 @pytest.mark.parametrize("verbose", [False, True])
 def test_verbose_logs_the_traceback(tmp_path, keyfile, verbose):
-    # a fresh interpreter, so that -v configures logging as it does for a user
-    src = os.path.dirname(os.path.dirname(echotag.__file__))
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
     missing = tmp_path / "missing.wav"
-    argv = [sys.executable, "-m", "echotag.cli", *(["-v"] if verbose else []),
-            "detect", "--in", str(missing), "--key-file", str(keyfile), "--key", "echo75"]
-    proc = subprocess.run(argv, capture_output=True, text=True, env=env, timeout=300)
+    proc = run_cli_process(*(["-v"] if verbose else []),
+                           "detect", "--in", missing, "--key-file", keyfile, "--key", "echo75")
     assert proc.returncode == 1
     lines = proc.stderr.splitlines()
     assert [line for line in lines if line.startswith("echotag: error:")] == [lines[-1]]
     assert str(missing) in lines[-1]
     assert ("Traceback" in proc.stderr) == verbose
+
+
+def _write_json(path, document):
+    path.write_text(json.dumps(document))
+    return path
+
+
+# argv after the global flags, from (tmp_path, keyfile, carrier_wav), of each command that reads --sample-rate
+SAMPLE_RATE_COMMANDS = {
+    "detect": lambda tmp, keyfile, wav: ["detect", "--in", wav, "--key-file", keyfile, "--key", "echo75"],
+    "embed": lambda tmp, keyfile, wav: ["embed", "--in", wav, "--out", tmp / "o.wav",
+                                        "--key-file", keyfile, "--key", "echo75"],
+    "tag-dataset": lambda tmp, keyfile, wav: ["tag-dataset", "--manifest", _write_json(
+        tmp / "manifest.json", {"version": 1, "key_file": str(keyfile), "base_output_dir": str(tmp / "out"),
+                                "entries": [{"input": str(wav), "key": "echo75"}]})],
+}
+
+
+@pytest.mark.parametrize("rate", [0, -44100])
+@pytest.mark.parametrize("command", sorted(SAMPLE_RATE_COMMANDS))
+def test_sample_rate_must_be_positive(tmp_path, keyfile, carrier_wav, capsys, command, rate):
+    argv = SAMPLE_RATE_COMMANDS[command](tmp_path, keyfile, carrier_wav)
+    before = sorted(tmp_path.rglob("*"))
+    assert run_cli("--sample-rate", rate, *argv) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        f"echotag: error: --sample-rate must be a positive integer, got {rate}"]
+    assert sorted(tmp_path.rglob("*")) == before

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 import scipy.stats
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from echotag import (
     AudioClip,
@@ -17,7 +19,7 @@ from echotag import (
     run_bitflip_curve,
     run_duration_sweep,
 )
-from echotag.harness import echo_alpha_scale, median_z_by_duration
+from echotag.harness import channel_length_bound, echo_alpha_scale, median_z_by_duration
 from helpers import SR, noise_clip
 
 
@@ -112,6 +114,22 @@ class TestChannelSpec:
         assert echo_alpha_scale(spec) == pytest.approx(0.2)
 
 
+SEEDS = st.integers(0, 2**16)
+PITCH_FACTORS = st.floats(0.5, 2.0)
+# nested channels of every kind, the pitch shifts among them with any factor
+CHANNELS = st.recursive(
+    st.builds(ChannelSpec, kind=st.sampled_from(["identity", "attenuate_echo", "additive_noise", "mixture"]),
+              seed=SEEDS)
+    | st.builds(ChannelSpec, kind=st.just("resample_factor"), factor=PITCH_FACTORS, seed=SEEDS)
+    | st.builds(lambda p, bounds, seed: ChannelSpec(kind="random_resample", probability=p, low=min(bounds),
+                                                    high=max(bounds), seed=seed),
+                st.floats(0, 1), st.tuples(PITCH_FACTORS, PITCH_FACTORS), SEEDS),
+    lambda inner: st.builds(ChannelSpec, kind=st.just("composite"), stages=st.lists(inner, max_size=3),
+                            seed=SEEDS),
+    max_leaves=5,
+)
+
+
 class TestApplyChannel:
     def test_identity_bit_exact(self):
         clip = noise_clip(0, seconds=0.1)
@@ -166,6 +184,20 @@ class TestApplyChannel:
         out = apply_channel(clip, ChannelSpec(kind="mixture", interferers=2, snr_db=0.0, seed=7))
         added = out.samples - clip.samples
         assert np.sqrt(np.mean(added**2)) == pytest.approx(1.0, rel=0.05)
+
+    @settings(max_examples=150, deadline=None)
+    @given(spec=CHANNELS, n=st.integers(1, 3000),
+           rate=st.sampled_from([8000, 44100, 48000]), salt=st.integers(0, 2**32))
+    def test_length_bound_holds(self, spec, n, rate, salt):
+        clip = AudioClip(np.random.default_rng(n).standard_normal(n), rate)
+        assert channel_length_bound(spec, n, rate) <= len(apply_channel(clip, spec, salt))
+
+    @settings(max_examples=100, deadline=None)
+    @given(factor=PITCH_FACTORS, n=st.integers(1, 3000), rate=st.sampled_from([8000, 44100, 48000]))
+    def test_length_bound_exact_for_a_fixed_factor(self, factor, n, rate):
+        spec = ChannelSpec(kind="resample_factor", factor=factor)
+        clip = AudioClip(np.zeros(n), rate)
+        assert channel_length_bound(spec, n, rate) == len(apply_channel(clip, spec))
 
     def test_composite_identity_is_monoid_identity(self):
         clip = noise_clip(8, seconds=0.2)

@@ -103,7 +103,6 @@ class TestPatternSetFiles:
         save_pattern_set(ps, path)
         loaded = load_pattern_set(path)
         assert loaded.count == 4 and loaded.length == 256 and loaded.seed == 3
-        assert loaded.converged
         assert all(np.array_equal(a, b) for a, b in zip(loaded.patterns, ps.patterns))
         assert np.array_equal(loaded.distance_matrix, ps.distance_matrix)
 
@@ -149,15 +148,17 @@ class TestPatternSetFiles:
         problems = self._problems(tmp_path, document)
         assert problems == [f"a pattern set needs at least 2 patterns, got {count}"]
 
-    def test_spread_checked_only_in_a_converged_set(self, tmp_path):
+    def test_converged_false_refused(self, tmp_path):
         ps = generate_pattern_set(4, 64, 1)
-        ps.patterns[1] = ps.patterns[0].copy()  # distance 0
-        ps.converged = False
         document = self._document(tmp_path, ps)
-        assert load_pattern_set(tmp_path / "patterns.json").converged is False
-        document["converged"] = True
-        problems = self._problems(tmp_path, document)
-        assert problems == ["minimum pairwise distance 0 below 8"]
+        document["converged"] = False
+        assert self._problems(tmp_path, document) == ["'converged' must be true, got False"]
+        del document["converged"]  # a file without the field holds the rule too
+        (tmp_path / "edited.json").write_text(json.dumps(document))
+        assert load_pattern_set(tmp_path / "edited.json").patterns[1].tolist() == ps.patterns[1].tolist()
+        ps.patterns[1] = ps.patterns[0].copy()  # distance 0
+        document = self._document(tmp_path, ps)
+        assert self._problems(tmp_path, document) == ["minimum pairwise distance 0 below 8"]
 
 
 # Valid documents for the two files a user writes by hand; their paths are

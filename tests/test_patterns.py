@@ -175,7 +175,6 @@ class TestGeneratePatternSet:
 
     def test_golden_eight_patterns(self):
         ps = generate_pattern_set(8, 1024, 1)
-        assert ps.converged
         assert all(is_run_valid(p) for p in ps.patterns)
         distances = sorted(ps.pairwise_distances().tolist())
         assert distances == GOLDEN_8_1024_SEED1_DISTANCES
@@ -185,7 +184,6 @@ class TestGeneratePatternSet:
     def test_spread_criteria_across_seeds(self):
         for seed in range(5):
             ps = generate_pattern_set(8, 1024, seed)
-            assert ps.converged
             distances = np.sort(ps.pairwise_distances())
             edges = np.concatenate(([0], distances, [1024]))
             assert np.max(np.diff(edges)) <= 2 * 1024 / 8
@@ -210,8 +208,6 @@ class TestGeneratePatternSet:
         assert distances.min() >= 1024 / 16
         gap = 1024 - distances.max()
         assert validate_pattern_set(ps) == [f"largest gap {gap} between sorted distances above 256"]
-        ps.converged = False
-        assert validate_pattern_set(ps) == []
 
     def test_validator_rejects_mixed_lengths(self):
         mixed = PatternSet([generate_pattern(8, 0), generate_pattern(9, 0)], seed=0)
