@@ -8,6 +8,7 @@ writes goes through `atomic_output`, so no output is ever left half-written.
 
 from __future__ import annotations
 
+import functools
 import logging
 import os
 import warnings
@@ -143,12 +144,15 @@ def atomic_output(path, mode: str = "w", **open_kwargs):
         raise
 
 
+@functools.lru_cache(maxsize=1)
 def _design_resample_kernel(up: int, down: int) -> np.ndarray:
-    # lowpass at min(fs_in, fs_out)/2 in the upsampled domain; resample_poly
-    # applies the interpolation gain `up` itself
+    # lowpass at min(fs_in, fs_out)/2 in the upsampled domain; resample_poly applies the gain
+    # `up` to its own copy. The last is kept, read-only: a cell shifts both conditions alike.
     m = max(up, down)
     n_taps = 2 * (RESAMPLE_TAPS_PER_PHASE // 2) * m + 1
-    return scipy.signal.firwin(n_taps, 1.0 / m, window=("kaiser", RESAMPLE_KAISER_BETA))
+    kernel = scipy.signal.firwin(n_taps, 1.0 / m, window=("kaiser", RESAMPLE_KAISER_BETA))
+    kernel.flags.writeable = False
+    return kernel
 
 
 def resampled_length(n: int, rate: int, target_rate: int) -> int:

@@ -36,14 +36,14 @@ def real_cepstrum(clip) -> np.ndarray:
 
 
 def convolve(clip: AudioClip, kernel) -> AudioClip:
-    """Full linear convolution of a clip with a kernel, via FFT.
+    """Full linear convolution of a clip with a kernel, by overlap-add FFT.
 
     Output length is len(clip) + len(kernel) - 1 at the clip's rate.
     """
     kernel = np.asarray(kernel, dtype=np.float64)
     if kernel.ndim != 1 or kernel.size < 1:
         raise ValueError("kernel must be a non-empty 1-D sequence")
-    y = scipy.signal.fftconvolve(clip.samples, kernel, mode="full")
+    y = scipy.signal.oaconvolve(clip.samples, kernel, mode="full")
     return AudioClip(y, clip.sample_rate)
 
 

@@ -10,18 +10,20 @@ and to_dict writes only the fields its kind reads.
 All randomness flows from explicit non-negative seeds; a config run twice
 produces byte-identical reports. The duration sweep and the bit-flip curve
 take every experiment cell (clip x duration x segment), its random segment
-and its noise salt from one generator.
+and its noise salt from one generator. A cell's two conditions share the salt and so
+one channel draw (pitch factor, resample kernel, unit noise), which is computed once.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import reprlib
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .audio import AudioClip, mix, resample, resampled_length
+from .audio import AudioClip, _design_resample_kernel, mix, resample, resampled_length
 from .detect import detect_single_echo, detect_spread, spread_profile
 from .dsp import real_cepstrum
 from .embed import DEFAULT_SINGLE_ECHO_BAND, EchoKey, SpreadKey, embed, scaled_key
@@ -141,6 +143,20 @@ def _noise_at_rms(rng, n: int, target_rms: float) -> np.ndarray:
     return noise * (target_rms / measured)
 
 
+@functools.lru_cache(maxsize=1, typed=True)  # typed: a float salt still fails in the rng
+def _unit_noise(seed: int, salt: int, n: int):
+    """additive_noise's unit draw for (seed, salt, n), read-only, and its RMS; the last is kept."""
+    noise = np.random.default_rng([seed, salt, 11]).standard_normal(n)
+    noise.flags.writeable = False
+    return noise, _rms(noise)
+
+
+def _drop_kept_draws():
+    # kept past its sweep, a draw splits the heap under later large arrays (peak RSS +6%)
+    _unit_noise.cache_clear()
+    _design_resample_kernel.cache_clear()
+
+
 def _rms(x: np.ndarray) -> float:
     return float(np.sqrt(np.mean(x**2)))
 
@@ -158,11 +174,12 @@ def apply_channel(clip: AudioClip, spec: ChannelSpec, salt: int = 0) -> AudioCli
     kind = spec.kind
     if kind in ("identity", "attenuate_echo"):
         return clip.copy()
-    rng = np.random.default_rng([spec.seed, salt, 11])
     if kind == "additive_noise":
+        noise, measured = _unit_noise(spec.seed, salt, len(clip))
         target = _rms(clip.samples) * 10.0 ** (-spec.snr_db / 20.0)
-        noisy = clip.samples + _noise_at_rms(rng, len(clip), target)
+        noisy = clip.samples + (noise * (target / measured) if measured else noise)
         return AudioClip(noisy, clip.sample_rate)
+    rng = np.random.default_rng([spec.seed, salt, 11])
     if kind == "resample_factor":
         return _pitch_shift(clip, spec.factor)
     if kind == "random_resample":
@@ -319,6 +336,7 @@ def run_duration_sweep(corpus, key, durations, segments_per_clip: int,
                 z_at_key=report.z_at_key,
                 degenerate=report.profile.degenerate,
             ))
+    _drop_kept_draws()
     return rows
 
 
@@ -368,6 +386,7 @@ def run_bitflip_curve(corpus, spread_key: SpreadKey, flips, channel: ChannelSpec
         for k in flips:
             perturbed = 2.0 * flip_bits(spread_key.pattern, k, seed=[seed, salt, k, 7]) - 1.0
             false_scores[k].append(spread_profile(c_embedded, perturbed, delta).z_at(delta))
+    _drop_kept_draws()
     flip_results = [(k, roc(true_scores, false_scores[k])) for k in flips]
     clean_roc = roc(true_scores, clean_scores)
     return BitflipCurve(

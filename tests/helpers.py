@@ -2,16 +2,21 @@
 the loop versions that vectorized code is checked against: the scalar
 exclusion z-score for zscore_profile, the per-window payload decoder for
 decode_payload, the bit-by-bit run scans and pairwise Hamming loop for
-patterns.max_run_length, repair_runs and PatternSet.distance_matrix, and the
-single-echo kernel that embed_single_echo must equal a convolution with.
+patterns.max_run_length, repair_runs and PatternSet.distance_matrix, the
+single-echo kernel that embed_single_echo must equal a convolution with, and
+the unmemoized forms of the work an evaluate cell shares between its two
+conditions: the whole-clip FFT convolution, a fresh-rng additive_noise draw
+and a freshly designed resample kernel.
 
 The synthetic music clips stand in for real corpus material: bass, chords,
 melody and percussion with per-note envelopes, deterministic per seed.
 """
 
 import numpy as np
+import scipy.signal
 
 from echotag import AudioClip, real_cepstrum
+from echotag.audio import RESAMPLE_KAISER_BETA, RESAMPLE_TAPS_PER_PHASE, resampled_length
 from echotag.detect import SIGMA_FLOOR
 from echotag.patterns import MAX_RUN
 
@@ -109,6 +114,31 @@ def single_echo_kernel(key) -> np.ndarray:
     kernel[0] = 1.0
     kernel[key.delta] = key.alpha
     return kernel
+
+
+def fft_convolve(x, h) -> np.ndarray:
+    """Full linear convolution by one whole-clip FFT (scipy's fftconvolve)."""
+    return scipy.signal.fftconvolve(x, h, mode="full")
+
+
+def additive_noise_fresh(clip, spec, salt) -> np.ndarray:
+    """apply_channel's additive_noise samples, drawn from a fresh rng every call."""
+    rng = np.random.default_rng([spec.seed, salt, 11])
+    noise = rng.standard_normal(len(clip))
+    measured = np.sqrt(np.mean(noise**2))
+    target = float(np.sqrt(np.mean(clip.samples**2))) * 10.0 ** (-spec.snr_db / 20.0)
+    return clip.samples + (noise if measured == 0 else noise * (target / measured))
+
+
+def resample_fresh(clip, up: int, down: int) -> np.ndarray:
+    """resample's samples for the ratio up/down (coprime, both at most the
+    polyphase cap, up != down), with the kernel designed by firwin every call."""
+    m = max(up, down)
+    n_taps = 2 * (RESAMPLE_TAPS_PER_PHASE // 2) * m + 1
+    kernel = scipy.signal.firwin(n_taps, 1.0 / m, window=("kaiser", RESAMPLE_KAISER_BETA))
+    y = scipy.signal.resample_poly(clip.samples, up, down, window=kernel)
+    n_out = resampled_length(len(clip), down, up)
+    return np.pad(y, (0, max(n_out - y.size, 0)))[:n_out]
 
 
 def noise_clip(seed, seconds=10.0, rate=SR, scale=0.1):

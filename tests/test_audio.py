@@ -4,13 +4,19 @@ import os
 import numpy as np
 import pytest
 import scipy.io.wavfile
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from echotag import AudioClip, ChannelSpec, detect_single_echo, load_audio, mix, resample, save_audio
 from echotag import evalrun
+from echotag.audio import _design_resample_kernel
 from echotag.embed import EchoKey, embed_single_echo
 from echotag.harness import SweepRow
 from echotag.keyfiles import write_json
-from helpers import SR, noise_clip, sine_clip
+from helpers import SR, noise_clip, resample_fresh, sine_clip
+
+# coprime up/down ratios, near and far from 1
+RESAMPLE_RATIOS = [(3, 2), (2, 3), (160, 147), (147, 160), (1024, 1023)]
 
 
 class TestAudioClip:
@@ -195,6 +201,23 @@ class TestResample:
             out = resample(clip, target)
             assert out.sample_rate == target
             assert len(out) == round(len(clip) * target / SR)
+
+    # a drawn order of ratios, so one repeats and alternates with others (a, b, a):
+    # the kept kernel must never stand in for another ratio's
+    @settings(max_examples=25, deadline=None)
+    @given(order=st.lists(st.sampled_from(RESAMPLE_RATIOS), min_size=1, max_size=6),
+           n=st.integers(min_value=1, max_value=3000))
+    @example(order=[(160, 147), (147, 160), (160, 147)], n=2000)
+    def test_equals_a_freshly_designed_kernel(self, order, n):
+        for step, (up, down) in enumerate(order):
+            clip = AudioClip(np.random.default_rng(step).standard_normal(n), 100 * down)
+            out = resample(clip, 100 * up)
+            assert np.array_equal(out.samples, resample_fresh(clip, up, down))
+
+    def test_kept_kernel_is_read_only(self):
+        kernel = _design_resample_kernel(3, 2)
+        with pytest.raises(ValueError):
+            kernel[0] = 1.0
 
     def test_echo_lag_scales_with_rate(self):
         # lag-100 echo upsampled by 1.25 lands at lag 125 (44.1k -> 55.125k)

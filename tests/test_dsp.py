@@ -1,11 +1,15 @@
 import numpy as np
 import pytest
 import scipy.signal
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from echotag import AudioClip, convolve, cross_correlate, enhance_correlation, real_cepstrum
-from helpers import SR, noise_clip
+from echotag import AudioClip, SpreadKey, convolve, cross_correlate, enhance_correlation, real_cepstrum
+from helpers import SR, fft_convolve, noise_clip
+
+# (delta, pattern length) of a spread kernel of 12-1,100 taps
+SPREAD_KERNEL_SHAPES = st.integers(min_value=2, max_value=1024).flatmap(
+    lambda length: st.tuples(st.integers(max(1, 12 - length), 1100 - length), st.just(length)))
 
 
 def series_echo_cepstrum(alpha, delta, n, terms=80):
@@ -153,6 +157,26 @@ class TestConvolve:
         direct = np.convolve(x, h)
         scale = max(np.max(np.abs(direct)), 1e-30)
         assert np.max(np.abs(out - direct)) / scale <= 1e-9
+
+    # a spread embedding's shapes: a unit impulse at 0 plus +-alpha taps, kernels of
+    # 12-1,100 taps, clips of 0.05-8 s; overlap-add takes its block path here
+    @settings(max_examples=12, deadline=None)
+    @given(
+        shape=SPREAD_KERNEL_SHAPES,
+        n=st.integers(min_value=2200, max_value=352_800),
+        alpha=st.sampled_from([0.001, 0.01, 0.1]),
+        seed=st.integers(min_value=0, max_value=2**31),
+    )
+    @example(shape=(75, 1024), n=352_800, alpha=0.01, seed=0)  # eval-spread's 8 s cell
+    def test_overlap_add_equals_fft_oracle_on_spread_shapes(self, shape, n, alpha, seed):
+        delta, length = shape
+        rng = np.random.default_rng(seed)
+        kernel = SpreadKey(rng.integers(0, 2, length), alpha=alpha, delta=delta).kernel()
+        x = rng.standard_normal(n)
+        out = convolve(AudioClip(x, SR), kernel).samples
+        oracle = fft_convolve(x, kernel)
+        assert out.size == oracle.size == n + delta + length - 1
+        assert np.max(np.abs(out - oracle)) <= 1e-12 * np.max(np.abs(oracle))
 
 
 class TestCrossCorrelate:

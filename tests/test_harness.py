@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 import scipy.stats
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from echotag import (
@@ -19,8 +19,9 @@ from echotag import (
     run_bitflip_curve,
     run_duration_sweep,
 )
+from echotag import audio, harness
 from echotag.harness import channel_length_bound, echo_alpha_scale, median_z_by_duration
-from helpers import SR, noise_clip
+from helpers import SR, additive_noise_fresh, noise_clip
 
 
 def mann_whitney_auroc(true_scores, false_scores):
@@ -160,6 +161,36 @@ class TestApplyChannel:
         assert np.array_equal(a.samples, b.samples)
         assert not np.array_equal(a.samples, c.samples)
 
+    # (seed, salt, n) from a small pool, visited in a drawn order so one repeats
+    # and alternates with others (a, b, a): the kept draw must never stand in
+    # for another key's, whatever the clip
+    @settings(max_examples=40, deadline=None)
+    @given(pool=st.lists(st.tuples(st.integers(0, 3), st.integers(0, 3), st.integers(1, 500)),
+                         min_size=1, max_size=3),
+           order=st.lists(st.integers(0, 2), min_size=1, max_size=8),
+           snr_db=st.sampled_from([-10.0, 0.0, 20.0]))
+    @example(pool=[(1, 2, 300), (1, 3, 300)], order=[0, 1, 0], snr_db=20.0)
+    def test_additive_noise_equals_a_fresh_draw(self, pool, order, snr_db):
+        for step, index in enumerate(order):
+            seed, salt, n = pool[index % len(pool)]
+            clip = AudioClip(np.random.default_rng(step).standard_normal(n), SR)
+            spec = ChannelSpec(kind="additive_noise", snr_db=snr_db, seed=seed)
+            out = apply_channel(clip, spec, salt=salt)
+            assert np.array_equal(out.samples, additive_noise_fresh(clip, spec, salt))
+            assert out.samples.flags.writeable
+
+    def test_kept_noise_is_read_only(self):
+        noise, _ = harness._unit_noise(0, 0, 16)
+        with pytest.raises(ValueError):
+            noise[0] = 1.0
+
+    def test_a_float_salt_is_refused_after_an_equal_int_salt(self):
+        clip = noise_clip(3, seconds=0.01)
+        spec = ChannelSpec(kind="additive_noise", seed=4)
+        apply_channel(clip, spec, salt=2)
+        with pytest.raises(TypeError):
+            apply_channel(clip, spec, salt=2.0)
+
     def test_pitch_factor_scales_lag(self):
         clip = noise_clip(4, seconds=3.0, scale=1.0)
         tagged = embed_single_echo(clip, EchoKey(100, 0.4))
@@ -242,6 +273,33 @@ class TestDurationSweep:
         z_weak = np.median([r.z_at_key for r in weak if r.condition == "embedded"])
         assert z_weak < z_strong
 
+    def test_rows_equal_with_memos_cleared_before_each_channel(self, monkeypatch):
+        # eval-pitch's channel: a random pitch shift, then noise
+        corpus = [(f"n{v}", noise_clip((53, v), seconds=2.5, scale=1.0)) for v in range(2)]
+        pitch = {"kind": "random_resample", "probability": 0.5, "low": 0.97, "high": 1.03, "seed": 1}
+        noise = {"kind": "additive_noise", "snr_db": 20.0, "seed": 1}
+        channel = ChannelSpec.from_dict({"kind": "composite", "stages": [pitch, noise], "seed": 1})
+        kwargs = dict(durations=[1.0, 2.0], segments_per_clip=2, channel=channel, seed=2)
+        memoized = run_duration_sweep(corpus, EchoKey(75, 0.4), **kwargs)
+        # nothing is kept past the sweep
+        assert harness._unit_noise.cache_info().currsize == 0
+        assert audio._design_resample_kernel.cache_info().currsize == 0
+        # while it runs, each cell's clean condition reuses its embedded condition's draws
+        with monkeypatch.context() as patch:
+            patch.setattr(harness, "_drop_kept_draws", lambda: None)
+            assert run_duration_sweep(corpus, EchoKey(75, 0.4), **kwargs) == memoized
+        assert harness._unit_noise.cache_info().hits == 8
+        assert audio._design_resample_kernel.cache_info().hits > 0
+        original = harness.apply_channel
+
+        def cold(clip, spec, salt=0):
+            harness._unit_noise.cache_clear()
+            audio._design_resample_kernel.cache_clear()
+            return original(clip, spec, salt)
+
+        monkeypatch.setattr(harness, "apply_channel", cold)
+        assert run_duration_sweep(corpus, EchoKey(75, 0.4), **kwargs) == memoized
+
     def test_segment_too_long_rejected(self):
         corpus = [("a", noise_clip(52, seconds=2.0))]
         with pytest.raises(ValueError, match="shorter"):
@@ -276,6 +334,13 @@ class TestBitflipCurve:
         key = SpreadKey(generate_pattern(64, 0), delta=8)
         with pytest.raises(ValueError):
             run_bitflip_curve([("a", noise_clip(0, seconds=1.0))], key, flips=[65])
+
+    def test_nothing_kept_past_the_curve(self):
+        key = SpreadKey(generate_pattern(64, 0), delta=8)
+        channel = ChannelSpec(kind="additive_noise", snr_db=20.0, seed=1)
+        run_bitflip_curve([("a", noise_clip(0, seconds=1.0))], key, flips=[8], channel=channel,
+                          duration_seconds=0.5, segments_per_clip=2)
+        assert harness._unit_noise.cache_info().currsize == 0
 
     def test_true_score_is_detect_spread_z(self):
         # a clip exactly as long as the segment, so the segment is the clip
