@@ -4,6 +4,8 @@ Everything downstream works on `AudioClip`: a mono float64 buffer plus its
 sample rate. Files of any supported bit depth are converted to that canonical
 form on load so cepstra are never quantization-limited. Every file echotag
 writes goes through `atomic_output`, so no output is ever left half-written.
+scipy is imported inside the functions that call it: `scipy.signal` alone
+takes most of a second to import, and most commands never resample.
 """
 
 from __future__ import annotations
@@ -17,8 +19,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
-import scipy.io.wavfile
-import scipy.signal
 
 log = logging.getLogger(__name__)
 
@@ -72,6 +72,8 @@ def load_audio(path) -> AudioClip:
     [-1, 1) by dividing by 2^(bits-1). Extra chunks (LIST, bext, ...) are
     skipped.
     """
+    import scipy.io.wavfile
+
     with warnings.catch_warnings():
         # non-data chunks are tolerated by skipping, quietly
         warnings.simplefilter("ignore", scipy.io.wavfile.WavFileWarning)
@@ -107,6 +109,8 @@ def save_audio(clip: AudioClip, path, format: str = "float32") -> int:
     samples is logged as a warning and returned (0 when nothing clipped).
     float32 output round-trips bit-exactly through load_audio.
     """
+    import scipy.io.wavfile
+
     clipped = 0
     if format == "pcm16":
         x = clip.samples
@@ -148,6 +152,8 @@ def atomic_output(path, mode: str = "w", **open_kwargs):
 def _design_resample_kernel(up: int, down: int) -> np.ndarray:
     # lowpass at min(fs_in, fs_out)/2 in the upsampled domain; resample_poly applies the gain
     # `up` to its own copy. The last is kept, read-only: a cell shifts both conditions alike.
+    import scipy.signal
+
     m = max(up, down)
     n_taps = 2 * (RESAMPLE_TAPS_PER_PHASE // 2) * m + 1
     kernel = scipy.signal.firwin(n_taps, 1.0 / m, window=("kaiser", RESAMPLE_KAISER_BETA))
@@ -167,6 +173,8 @@ def resample(clip: AudioClip, target_rate: int) -> AudioClip:
     rates short-circuit to a copy; rates whose ratio the polyphase cap
     rounds to 1/1 give a copy trimmed or zero-padded to that length.
     """
+    import scipy.signal
+
     target_rate = int(target_rate)
     if target_rate <= 0:
         raise ValueError(f"target rate must be positive, got {target_rate}")

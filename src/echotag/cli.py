@@ -304,13 +304,15 @@ def cmd_detect(args) -> int:
 def cmd_payload(args) -> int:
     config = PayloadConfig(delta0=args.delta0, delta1=args.delta1,
                            alpha=args.alpha, window=args.window)
-    clip = load_audio(args.in_path)
+    # every argument is checked before the input is read
     if args.action == "encode":
         if args.bits is None or args.n_bits is None or args.out_path is None:
             raise CommandError("payload encode needs --bits, --n-bits and --out")
         _require_out_dir(args.out_path)
         out_format = _format(args, "float32", AUDIO_FORMATS)
-        tagged = encode_payload(clip, hex_to_bits(args.bits, args.n_bits), config)
+        bits = hex_to_bits(args.bits, args.n_bits)
+        clip = load_audio(args.in_path)
+        tagged = encode_payload(clip, bits, config)
         save_audio(tagged, args.out_path, format=out_format)
         print(json.dumps({
             "out": args.out_path,
@@ -318,9 +320,9 @@ def cmd_payload(args) -> int:
             "bits_per_second": bits_per_second(clip.sample_rate, config),
         }, sort_keys=True))
     else:
-        if args.n_bits is None:
-            raise CommandError("payload decode needs --n-bits")
-        bits = decode_payload(clip, config, args.n_bits)
+        if args.n_bits is None or args.n_bits < 0:
+            raise CommandError(f"payload decode needs --n-bits >= 0, got {args.n_bits}")
+        bits = decode_payload(load_audio(args.in_path), config, args.n_bits)
         print(json.dumps({"n_bits": args.n_bits, "bits": bits_to_hex(bits)}, sort_keys=True))
     return 0
 

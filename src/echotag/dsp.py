@@ -3,12 +3,13 @@
 The real cepstrum is ifft(log|fft(x)|) taken over the whole buffer (or each
 row of a stack of them), with no analysis window and no padding; an echo at
 lag d shows up as a peak at quefrency d (and its mirror N-d).
+`scipy.signal` is imported inside the two functions that call it, so that
+commands which never convolve or correlate do not pay its import time.
 """
 
 from __future__ import annotations
 
 import numpy as np
-import scipy.signal
 
 from .audio import AudioClip
 
@@ -40,6 +41,8 @@ def convolve(clip: AudioClip, kernel) -> AudioClip:
 
     Output length is len(clip) + len(kernel) - 1 at the clip's rate.
     """
+    import scipy.signal
+
     kernel = np.asarray(kernel, dtype=np.float64)
     if kernel.ndim != 1 or kernel.size < 1:
         raise ValueError("kernel must be a non-empty 1-D sequence")
@@ -54,6 +57,8 @@ def cross_correlate(cepstrum, template) -> np.ndarray:
     is left unnormalized (downstream z-scoring is scale-invariant). A pattern
     embedded at lag d peaks at index d.
     """
+    import scipy.signal
+
     c = np.asarray(cepstrum, dtype=np.float64)
     t = np.asarray(template, dtype=np.float64)
     if t.size > c.size:

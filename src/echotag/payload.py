@@ -18,6 +18,8 @@ from .dsp import real_cepstrum
 from .embed import EchoKey, embed_single_echo
 
 MAX_PAYLOAD_DELTA = 125
+# samples per block of the encoder's mix: its temporaries stay a few MB at any clip length
+MIX_BLOCK = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -73,8 +75,11 @@ def encode_payload(clip: AudioClip, bits, config: PayloadConfig = PayloadConfig(
         return x0
     x1 = embed_single_echo(clip, EchoKey(config.delta1, config.alpha))
     centers = (np.arange(bits.size) + 0.5) * config.window
-    envelope = np.interp(np.arange(len(clip)), centers, bits)
-    out = (1.0 - envelope) * x0.samples + envelope * x1.samples
+    out = x0.samples  # mixed in place, one block at a time
+    for start in range(0, out.size, MIX_BLOCK):
+        stop = min(start + MIX_BLOCK, out.size)
+        envelope = np.interp(np.arange(start, stop), centers, bits)
+        out[start:stop] = (1.0 - envelope) * out[start:stop] + envelope * x1.samples[start:stop]
     return AudioClip(out, clip.sample_rate)
 
 

@@ -1,7 +1,8 @@
 """Shared test utilities: seeded signal factories, a small music synth, and
 the loop versions that vectorized code is checked against: the scalar
 exclusion z-score for zscore_profile, the per-window payload decoder for
-decode_payload, the bit-by-bit run scans and pairwise Hamming loop for
+decode_payload, the whole-clip envelope and mix for the blockwise
+encode_payload, the bit-by-bit run scans and pairwise Hamming loop for
 patterns.max_run_length, repair_runs and PatternSet.distance_matrix, the
 single-echo kernel that embed_single_echo must equal a convolution with, and
 the unmemoized forms of the work an evaluate cell shares between its two
@@ -15,7 +16,7 @@ melody and percussion with per-note envelopes, deterministic per seed.
 import numpy as np
 import scipy.signal
 
-from echotag import AudioClip, real_cepstrum
+from echotag import AudioClip, EchoKey, embed_single_echo, real_cepstrum
 from echotag.audio import RESAMPLE_KAISER_BETA, RESAMPLE_TAPS_PER_PHASE, resampled_length
 from echotag.detect import SIGMA_FLOOR
 from echotag.patterns import MAX_RUN
@@ -53,6 +54,20 @@ def decode_payload_per_window(clip, config, n_bits):
         c = real_cepstrum(window)
         bits[k] = 0 if c[config.delta0] > c[config.delta1] else 1
     return bits
+
+
+def encode_payload_whole_clip(clip, bits, config) -> np.ndarray:
+    """encode_payload's samples from one whole-clip envelope and one whole-clip mix."""
+    bits = np.asarray(bits, dtype=np.float64)
+    if config.alpha == 0:
+        return clip.samples.copy()
+    x0 = embed_single_echo(clip, EchoKey(config.delta0, config.alpha)).samples
+    if bits.size == 0:
+        return x0
+    x1 = embed_single_echo(clip, EchoKey(config.delta1, config.alpha)).samples
+    centers = (np.arange(bits.size) + 0.5) * config.window
+    envelope = np.interp(np.arange(len(clip)), centers, bits)
+    return (1.0 - envelope) * x0 + envelope * x1
 
 
 def max_run_length_loop(pattern) -> int:

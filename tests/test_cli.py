@@ -406,6 +406,61 @@ class TestPayloadCli:
         assert not out.exists()
 
 
+# argv of a payload command with a bad argument, from (tmp_path, carrier_wav), and its one error line
+PAYLOAD_ARGUMENT_ERRORS = {
+    "encode-without-bits": lambda tmp, wav: (
+        ["payload", "encode", "--in", wav, "--out", tmp / "o.wav", "--n-bits", 8],
+        "payload encode needs --bits, --n-bits and --out"),
+    "encode-without-n-bits": lambda tmp, wav: (
+        ["payload", "encode", "--in", wav, "--out", tmp / "o.wav", "--bits", "ff"],
+        "payload encode needs --bits, --n-bits and --out"),
+    "encode-without-out": lambda tmp, wav: (
+        ["payload", "encode", "--in", wav, "--bits", "ff", "--n-bits", 8],
+        "payload encode needs --bits, --n-bits and --out"),
+    "encode-into-missing-dir": lambda tmp, wav: (
+        ["payload", "encode", "--in", wav, "--out", tmp / "missing" / "o.wav", "--bits", "ff", "--n-bits", 8],
+        f"--out directory {str(tmp / 'missing')!r} does not exist"),
+    "encode-csv-format": lambda tmp, wav: (
+        ["--format", "csv", "payload", "encode", "--in", wav, "--out", tmp / "o.wav",
+         "--bits", "ff", "--n-bits", 8],
+        "--format must be pcm16 or float32 for payload, got 'csv'"),
+    "encode-bad-hex": lambda tmp, wav: (
+        ["payload", "encode", "--in", wav, "--out", tmp / "o.wav", "--bits", "a5z", "--n-bits", 8],
+        "'a5z' is not a hex string"),
+    "encode-more-bits-than-hex": lambda tmp, wav: (
+        ["payload", "encode", "--in", wav, "--out", tmp / "o.wav", "--bits", "a5", "--n-bits", 9],
+        "cannot take 9 of the 8 bits the hex string holds"),
+    "decode-without-n-bits": lambda tmp, wav: (
+        ["payload", "decode", "--in", wav], "payload decode needs --n-bits >= 0, got None"),
+    "decode-negative-n-bits": lambda tmp, wav: (
+        ["payload", "decode", "--in", wav, "--n-bits", -1], "payload decode needs --n-bits >= 0, got -1"),
+}
+
+
+def _read_that_must_not_run(path):
+    raise AssertionError(f"payload read {path} before checking its arguments")
+
+
+@pytest.mark.parametrize("case", sorted(PAYLOAD_ARGUMENT_ERRORS))
+def test_payload_checks_its_arguments_before_reading_the_input(tmp_path, carrier_wav, capsys,
+                                                               monkeypatch, case):
+    monkeypatch.setattr("echotag.cli.load_audio", _read_that_must_not_run)
+    argv, message = PAYLOAD_ARGUMENT_ERRORS[case](tmp_path, carrier_wav)
+    assert run_cli(*argv) == 1
+    captured = capsys.readouterr()
+    assert captured.err.splitlines() == [f"echotag: error: {message}"]
+    assert captured.out == ""
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["carrier.wav"]
+
+
+@pytest.mark.parametrize("action", ["encode", "decode"])
+def test_payload_reads_its_input_once_its_arguments_pass(tmp_path, carrier_wav, monkeypatch, action):
+    monkeypatch.setattr("echotag.cli.load_audio", _read_that_must_not_run)
+    with pytest.raises(AssertionError, match="before checking its arguments"):
+        run_cli("payload", action, "--in", carrier_wav, "--out", tmp_path / "o.wav",
+                "--bits", "ff", "--n-bits", 8)
+
+
 def eval_config(tmp_path, keyfile, **overrides):
     """An evaluate config over one 6 s clip, with `overrides` applied; its path."""
     corpus_dir = tmp_path / "corpus"
@@ -689,6 +744,50 @@ def test_verbose_logs_the_traceback(tmp_path, keyfile, verbose):
     assert [line for line in lines if line.startswith("echotag: error:")] == [lines[-1]]
     assert str(missing) in lines[-1]
     assert ("Traceback" in proc.stderr) == verbose
+
+
+# run in one fresh interpreter: imports echotag.cli, runs each (step, argv) through main
+# and prints, per step, the scipy modules loaded so far
+STARTUP_SCRIPT = """
+import contextlib, io, json, sys
+def scipy_modules():
+    return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+from echotag.cli import main
+loaded = {"import": scipy_modules()}
+for step, argv in json.loads(sys.argv[1]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    loaded[step] = scipy_modules() if code == 0 else f"exit {code}"
+print(json.dumps(loaded))
+"""
+
+
+def test_commands_import_only_what_they_run(tmp_path, keyfile, carrier_wav):
+    """A module once imported stays imported, so the steps run from the fewest scipy modules up."""
+    steps = [
+        ("gen-patterns", ["--seed", "2", "gen-patterns", "--count", "4", "--length", "512",
+                          "--out", str(tmp_path / "ps.json")]),
+        ("--help", ["--help"]),
+        ("detect", ["detect", "--in", str(carrier_wav), "--key-file", str(keyfile), "--key", "echo75"]),
+        ("payload encode", ["payload", "encode", "--in", str(carrier_wav), "--out", str(tmp_path / "p.wav"),
+                            "--bits", "a5", "--n-bits", "8"]),
+        ("payload decode", ["payload", "decode", "--in", str(tmp_path / "p.wav"), "--n-bits", "8"]),
+    ]
+    src = os.path.dirname(os.path.dirname(echotag.__file__))
+    proc = subprocess.run([sys.executable, "-c", STARTUP_SCRIPT, json.dumps(steps)],
+                          capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src}, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    loaded = json.loads(proc.stdout)
+    assert list(loaded) == ["import", *(step for step, _ in steps)]
+    for step in ("import", "gen-patterns", "--help"):
+        assert loaded[step] == [], step
+    for step in ("detect", "payload encode", "payload decode"):
+        assert isinstance(loaded[step], list), (step, loaded[step])
+        assert not [m for m in loaded[step] if m == "scipy.signal" or m.startswith("scipy.signal.")], step
+    assert "scipy.io.wavfile" in loaded["detect"]
 
 
 def _write_json(path, document):

@@ -1,5 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from echotag import (
     AudioClip,
@@ -10,7 +14,8 @@ from echotag import (
     encode_payload,
 )
 from echotag.embed import EchoKey, embed_single_echo
-from helpers import SR, decode_payload_per_window, noise_clip
+from echotag.payload import MIX_BLOCK
+from helpers import SR, decode_payload_per_window, encode_payload_whole_clip, noise_clip
 
 
 class TestPayloadConfig:
@@ -76,6 +81,43 @@ class TestEncode:
             center = int((k + 0.5) * config.window)
             expected = x1[center] if bit else x0[center]
             assert out.samples[center] == pytest.approx(expected, abs=1e-12)
+
+
+class TestEncodeMatchesWholeClipMix:
+    """The blockwise mix against the whole-clip formula it replaced: tolerance 0."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(blocks=st.integers(min_value=0, max_value=3),
+           offset=st.integers(min_value=-2, max_value=2),
+           share=st.floats(min_value=0.0, max_value=1.0),
+           config=st.sampled_from([PayloadConfig(), PayloadConfig(delta0=100, delta1=50, alpha=0.2),
+                                   PayloadConfig(delta0=30, delta1=75, alpha=0.3, window=600),
+                                   PayloadConfig(alpha=0.0)]))
+    @example(blocks=1, offset=0, share=1.0, config=PayloadConfig())
+    @example(blocks=2, offset=1, share=0.0, config=PayloadConfig())
+    @example(blocks=2, offset=-1, share=0.5, config=PayloadConfig(alpha=0.0))
+    def test_bit_for_bit(self, blocks, offset, share, config):
+        """Lengths on both sides of block multiples, 0 to capacity bits."""
+        n = max(blocks * MIX_BLOCK + offset, 2 * config.window + 1)
+        n_bits = round(share * capacity_bits(n, config))
+        rng = np.random.default_rng([n, n_bits])
+        clip = AudioClip(0.3 * rng.standard_normal(n), SR)
+        bits = rng.integers(0, 2, size=n_bits)
+        out = encode_payload(clip, bits, config).samples
+        assert out.tobytes() == encode_payload_whole_clip(clip, bits, config).tobytes()
+
+    def test_60s_clip_peaks_at_three_clip_sizes(self):
+        config = PayloadConfig()
+        clip = noise_clip(94, seconds=60.0)
+        bits = np.random.default_rng(94).integers(0, 2, size=capacity_bits(len(clip), config))
+        tracemalloc.start()
+        try:
+            encode_payload(clip, bits, config)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # the two echoed copies, and embed_single_echo's scaled copy while it builds the second
+        assert peak <= 3 * clip.samples.nbytes + 2**20
 
 
 class TestDecode:
