@@ -320,8 +320,10 @@ def cmd_payload(args) -> int:
             "bits_per_second": bits_per_second(clip.sample_rate, config),
         }, sort_keys=True))
     else:
-        if args.n_bits is None or args.n_bits < 0:
-            raise CommandError(f"payload decode needs --n-bits >= 0, got {args.n_bits}")
+        if args.n_bits is None:
+            raise CommandError("payload decode needs --n-bits")
+        if args.n_bits < 0:
+            raise CommandError(f"--n-bits must be >= 0, got {args.n_bits}")
         bits = decode_payload(load_audio(args.in_path), config, args.n_bits)
         print(json.dumps({"n_bits": args.n_bits, "bits": bits_to_hex(bits)}, sort_keys=True))
     return 0

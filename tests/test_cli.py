@@ -431,9 +431,9 @@ PAYLOAD_ARGUMENT_ERRORS = {
         ["payload", "encode", "--in", wav, "--out", tmp / "o.wav", "--bits", "a5", "--n-bits", 9],
         "cannot take 9 of the 8 bits the hex string holds"),
     "decode-without-n-bits": lambda tmp, wav: (
-        ["payload", "decode", "--in", wav], "payload decode needs --n-bits >= 0, got None"),
+        ["payload", "decode", "--in", wav], "payload decode needs --n-bits"),
     "decode-negative-n-bits": lambda tmp, wav: (
-        ["payload", "decode", "--in", wav, "--n-bits", -1], "payload decode needs --n-bits >= 0, got -1"),
+        ["payload", "decode", "--in", wav, "--n-bits", -1], "--n-bits must be >= 0, got -1"),
 }
 
 

@@ -1,14 +1,13 @@
 """Time `echotag` commands in fresh processes in two checkouts, on perfbench's inputs.
 
-    python3 tools/cli_startup.py PARENT CHANGE [--repeats 7] [--seed 1] [--json out.json]
+    python3 tools/cli_startup.py PARENT CHANGE [--json out.json]
 
 PARENT and CHANGE are the roots of two checkouts of this repository. The
 inputs are built once, the way the benchmark builds them (eval-spread
-workload): the key file by PARENT's `perfbench/make_keys.py` with PARENT's
-echotag, the clips by this repository's `perfbench/workloads.py` (imported,
-never changed), and the payload file by one untimed `payload encode` in
-PARENT. Each command then runs `--repeats` times per side as
-`python -m echotag.cli ...` in a new interpreter, the side that goes first
+workload, seed SEED), by `compare_evaluate.build_benchmark_inputs`, plus the
+payload file by one untimed `payload encode` in PARENT. Each command then
+runs REPEATS times per side as `python -m echotag.cli ...` in a new
+interpreter, with one BLAS/OpenMP thread, the side that goes first
 alternating from one repeat to the next. A run is timed from `Popen` to a
 blocking `wait()` with no timeout: `subprocess.run(..., timeout=...)` polls
 the child with sleeps of up to 50 ms, which rounds short runs up to its
@@ -33,14 +32,13 @@ import sys
 import tempfile
 import time
 
-ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-sys.path.insert(0, os.path.join(ROOT, "perfbench"))
+from compare_evaluate import build_benchmark_inputs, checkout_env, run_python
 
 SIDES = ("parent", "change")
+REPEATS = 9  # timed runs per command and side
+SEED = 1  # benchmark seed of the inputs
 # the scipy subpackages echotag itself imports
 ECHOTAG_IMPORTS = ("scipy.io", "scipy.signal")
-# one BLAS/OpenMP thread, as in the benchmark
-THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
 
 # runs main(argv) like `python -m echotag.cli`, then prints the scipy modules loaded
 PROBE = """
@@ -59,19 +57,17 @@ def parse_args(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("parent", help="root of the reference checkout")
     parser.add_argument("change", help="root of the checkout to compare with it")
-    parser.add_argument("--repeats", type=int, default=7, help="timed runs per command and side")
-    parser.add_argument("--seed", type=int, default=1, help="benchmark seed for the inputs")
     parser.add_argument("--json", default=None, help="also write every time to this file")
     return parser.parse_args(argv)
 
 
-def commands(inputs, seed: int, work_dir: str) -> dict:
+def commands(inputs, work_dir: str) -> dict:
     """{name: argv} of the commands timed, on one workload's built inputs."""
     clip = inputs.detects[0][0]
     detect = ["detect", "--in", clip, "--key-file", inputs.key_file, "--key"]
     return {
         "--help": ["--help"],
-        "gen-patterns": ["--seed", str(seed), "gen-patterns", "--count", "4", "--length", "1024",
+        "gen-patterns": ["--seed", str(SEED), "gen-patterns", "--count", "4", "--length", "1024",
                          "--out", os.path.join(work_dir, "ps.json")],
         "single-echo detect": detect + ["echo75"],
         "payload decode": ["payload", "decode", "--in", inputs.payload_out,
@@ -117,31 +113,17 @@ def format_row(name, times, loaded) -> str:
     return f"| {name} | {cells[0]} | {cells[1]} | {ratio:.2f} | {packages} |"
 
 
-def _env(checkout) -> dict:
-    env = dict(os.environ, PYTHONPATH=os.path.join(checkout, "src"))
-    for var in THREAD_VARS:
-        env.setdefault(var, "1")
-    return env
-
-
-def _check(done, argv, checkout):
-    if done.returncode != 0:
-        raise SystemExit(f"{' '.join(argv)} failed in {checkout} (exit {done.returncode}):\n"
-                         f"{done.stderr.strip()}")
-
-
 def loaded_modules(checkout, argv, cwd) -> list:
     """Run one command through PROBE; the scipy modules it had loaded when it finished."""
-    done = subprocess.run([sys.executable, "-c", PROBE, *argv], cwd=cwd, env=_env(checkout),
-                          stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True)
-    _check(done, argv, checkout)
+    done = run_python(["-c", PROBE, *argv], checkout, cwd)
     return json.loads(done.stderr.strip().splitlines()[-1])
 
 
 def timed_run(checkout, argv, cwd) -> float:
     """Seconds from starting `python -m echotag.cli argv` to its exit."""
     start = time.perf_counter()
-    proc = subprocess.Popen([sys.executable, "-m", "echotag.cli", *argv], cwd=cwd, env=_env(checkout),
+    proc = subprocess.Popen([sys.executable, "-m", "echotag.cli", *argv], cwd=cwd,
+                            env=checkout_env(checkout),
                             stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
     code = proc.wait()
     elapsed = time.perf_counter() - start
@@ -150,45 +132,36 @@ def timed_run(checkout, argv, cwd) -> float:
     return elapsed
 
 
-def build(parent, seed, work_dir):
-    """perfbench's eval-spread inputs for `seed`, plus the encoded payload file."""
-    from workloads import build_inputs
-
-    _check(subprocess.run([sys.executable, os.path.join(parent, "perfbench", "make_keys.py"),
-                           os.path.join(parent, "src"), work_dir, str(seed)],
-                          cwd=work_dir, env=_env(parent), capture_output=True, text=True),
-           ["make_keys.py"], parent)
-    inputs = build_inputs("eval-spread", seed, work_dir, os.path.join(work_dir, "keys.json"))
-    encode = ["payload", "encode", "--in", inputs.payload_in, "--out", inputs.payload_out,
-              "--bits", inputs.payload_hex, "--n-bits", str(inputs.payload_bits)]
-    _check(subprocess.run([sys.executable, "-m", "echotag.cli", *encode], cwd=work_dir,
-                          env=_env(parent), capture_output=True, text=True), encode, parent)
+def build(parent, work_dir):
+    """perfbench's eval-spread inputs for SEED, plus the encoded payload file."""
+    inputs = build_benchmark_inputs(parent, "eval-spread", SEED, work_dir)
+    run_python(["-m", "echotag.cli", "payload", "encode", "--in", inputs.payload_in,
+                "--out", inputs.payload_out, "--bits", inputs.payload_hex,
+                "--n-bits", str(inputs.payload_bits)], parent, work_dir)
     return inputs
 
 
 def main(argv=None) -> int:
     args = parse_args(argv)
-    if args.repeats < 2:
-        raise SystemExit("--repeats must be at least 2, for quartiles")
     checkouts = {"parent": os.path.abspath(args.parent), "change": os.path.abspath(args.change)}
     with tempfile.TemporaryDirectory(prefix="cli_startup.") as work_dir:
-        inputs = build(checkouts["parent"], args.seed, work_dir)
-        timed = commands(inputs, args.seed, work_dir)
+        inputs = build(checkouts["parent"], work_dir)
+        timed = commands(inputs, work_dir)
         loaded = {name: {side: loaded_modules(checkouts[side], argv, work_dir) for side in SIDES}
                   for name, argv in timed.items()}
         times = {name: {side: [] for side in SIDES} for name in timed}
-        for repeat in range(args.repeats):
+        for repeat in range(REPEATS):
             for name, command in timed.items():
                 for side in side_order(repeat):
                     times[name][side].append(timed_run(checkouts[side], command, work_dir))
-    print(f"wall seconds per fresh process, median [quartiles] of {args.repeats}; scipy loaded at exit")
+    print(f"wall seconds per fresh process, median [quartiles] of {REPEATS}; scipy loaded at exit")
     print("| command | parent (s) | change (s) | change/parent | scipy: parent | change |")
     print("|---|---|---|---|---|---|")
     for name in timed:
         print(format_row(name, times[name], loaded[name]))
     if args.json:
         with open(args.json, "w", encoding="utf-8") as fh:
-            json.dump({"repeats": args.repeats, "seed": args.seed, "times": times,
+            json.dump({"repeats": REPEATS, "seed": SEED, "times": times,
                        "scipy_packages": {name: {side: scipy_packages(mods) for side, mods in sides.items()}
                                           for name, sides in loaded.items()}},
                       fh, indent=1, sort_keys=True)

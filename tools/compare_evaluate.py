@@ -49,22 +49,38 @@ def parse_args(argv=None):
     return parser.parse_args(argv)
 
 
-def _run(argv, checkout, cwd):
-    """Run a Python command with `checkout`'s echotag first on the path; fail loudly."""
+def checkout_env(checkout) -> dict:
+    """The environment of a command run in `checkout`: its echotag first on the
+    path, and one BLAS/OpenMP thread unless set, as the benchmark runs."""
     env = dict(os.environ, PYTHONPATH=os.path.join(checkout, "src"))
-    done = subprocess.run([sys.executable, *argv], cwd=cwd, env=env, capture_output=True, text=True)
+    for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+        env.setdefault(var, "1")
+    return env
+
+
+def run_python(argv, checkout, cwd):
+    """Run a Python command in `checkout` and return it finished; fail loudly."""
+    done = subprocess.run([sys.executable, *argv], cwd=cwd, env=checkout_env(checkout),
+                          capture_output=True, text=True)
     if done.returncode != 0:
         raise SystemExit(f"{' '.join(argv)} failed in {checkout} (exit {done.returncode}):\n"
                          f"{done.stderr.strip()}")
+    return done
+
+
+def build_benchmark_inputs(parent, workload, seed, inputs_dir):
+    """perfbench's inputs for one workload and seed, in `inputs_dir`; the key file
+    is made by PARENT's `make_keys.py` with PARENT's echotag."""
+    run_python([os.path.join(parent, "perfbench", "make_keys.py"), os.path.join(parent, "src"),
+                inputs_dir, str(seed)], parent, inputs_dir)
+    return build_inputs(workload, seed, inputs_dir, os.path.join(inputs_dir, "keys.json"))
 
 
 def run_evaluate(parent, change, workload, seed, work_dir) -> dict:
     """Build one seed's inputs and run evaluate in each checkout; return {side: (csv, json)} bytes."""
     inputs_dir = os.path.join(work_dir, "inputs")
     os.makedirs(inputs_dir)
-    _run([os.path.join(parent, "perfbench", "make_keys.py"), os.path.join(parent, "src"),
-          inputs_dir, str(seed)], parent, inputs_dir)
-    inputs = build_inputs(workload, seed, inputs_dir, os.path.join(inputs_dir, "keys.json"))
+    inputs = build_benchmark_inputs(parent, workload, seed, inputs_dir)
     config_path = inputs.main_argv[inputs.main_argv.index("--config") + 1]
     with open(config_path, encoding="utf-8") as fh:
         config = json.load(fh)
@@ -76,7 +92,7 @@ def run_evaluate(parent, change, workload, seed, work_dir) -> dict:
         side_config = os.path.join(side_dir, "eval.json")
         with open(side_config, "w", encoding="utf-8") as fh:
             json.dump(config, fh)
-        _run(["-m", "echotag.cli", "evaluate", "--config", side_config], checkout, side_dir)
+        run_python(["-m", "echotag.cli", "evaluate", "--config", side_config], checkout, side_dir)
         results = os.path.join(side_dir, config["output_dir"])
         with open(os.path.join(results, "results.csv"), "rb") as fh:
             csv_bytes = fh.read()
