@@ -151,7 +151,7 @@ def atomic_output(path, mode: str = "w", **open_kwargs):
 @functools.lru_cache(maxsize=1)
 def _design_resample_kernel(up: int, down: int) -> np.ndarray:
     # lowpass at min(fs_in, fs_out)/2 in the upsampled domain; resample_poly applies the gain
-    # `up` to its own copy. The last is kept, read-only: a cell shifts both conditions alike.
+    # `up` to its own copy. The last is kept, read-only, for the next resample at that ratio.
     import scipy.signal
 
     m = max(up, down)

@@ -243,6 +243,9 @@ def load_manifest(path):
 
 
 def cmd_tag_dataset(args) -> int:
+    if args.format is not None:
+        raise CommandError("tag-dataset takes its audio format from the manifest's 'format' field, "
+                           "not from --format")
     entries, keys, base_out, do_resample, out_format = load_manifest(args.manifest)
     os.makedirs(base_out, exist_ok=True)
 

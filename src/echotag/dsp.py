@@ -3,8 +3,8 @@
 The real cepstrum is ifft(log|fft(x)|) taken over the whole buffer (or each
 row of a stack of them), with no analysis window and no padding; an echo at
 lag d shows up as a peak at quefrency d (and its mirror N-d).
-`scipy.signal` is imported inside the two functions that call it, so that
-commands which never convolve or correlate do not pay its import time.
+`scipy.signal` is imported inside convolve, its one caller here, so that
+commands which never convolve do not pay its import time.
 """
 
 from __future__ import annotations
@@ -56,14 +56,15 @@ def cross_correlate(cepstrum, template) -> np.ndarray:
     out[n] = sum_k cepstrum[n + k] * template[k] for n in [0, N - L]; the sum
     is left unnormalized (downstream z-scoring is scale-invariant). A pattern
     embedded at lag d peaks at index d.
+    numpy's direct sum costs O((N - L + 1) L): on detection's 2L + delta + 1
+    samples, 0.13 ms at L = 1,024 but 3.8 ms at L = 4,096 and 15 ms at
+    L = 8,192 on a 2-core VM, where scipy's FFT correlation takes 0.3-0.8 ms.
     """
-    import scipy.signal
-
     c = np.asarray(cepstrum, dtype=np.float64)
     t = np.asarray(template, dtype=np.float64)
     if t.size > c.size:
         raise ValueError(f"template (length {t.size}) longer than cepstrum (length {c.size})")
-    return scipy.signal.correlate(c, t, mode="valid")
+    return np.correlate(c, t, mode="valid")
 
 
 def enhance_correlation(cstar) -> np.ndarray:

@@ -10,20 +10,20 @@ and to_dict writes only the fields its kind reads.
 All randomness flows from explicit non-negative seeds; a config run twice
 produces byte-identical reports. The duration sweep and the bit-flip curve
 take every experiment cell (clip x duration x segment), its random segment
-and its noise salt from one generator. A cell's two conditions share the salt and so
-one channel draw (pitch factor, resample kernel, unit noise), which is computed once.
+and its noise salt from one generator. One apply_channel call degrades a
+cell's conditions (embedded, and clean unless left out), so they share one
+channel draw: the same pitch factor and the same noise, scaled to each clip.
 """
 
 from __future__ import annotations
 
-import functools
 import itertools
 import reprlib
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .audio import AudioClip, _design_resample_kernel, mix, resample, resampled_length
+from .audio import AudioClip, resample, resampled_length
 from .detect import detect_single_echo, detect_spread, spread_profile
 from .dsp import real_cepstrum
 from .embed import DEFAULT_SINGLE_ECHO_BAND, EchoKey, SpreadKey, embed, scaled_key
@@ -135,70 +135,57 @@ def echo_alpha_scale(spec: ChannelSpec) -> float:
     return 1.0
 
 
-def _noise_at_rms(rng, n: int, target_rms: float) -> np.ndarray:
-    noise = rng.standard_normal(n)
-    measured = np.sqrt(np.mean(noise**2))
-    if measured == 0:
-        return noise
-    return noise * (target_rms / measured)
-
-
-@functools.lru_cache(maxsize=1, typed=True)  # typed: a float salt still fails in the rng
-def _unit_noise(seed: int, salt: int, n: int):
-    """additive_noise's unit draw for (seed, salt, n), read-only, and its RMS; the last is kept."""
-    noise = np.random.default_rng([seed, salt, 11]).standard_normal(n)
-    noise.flags.writeable = False
-    return noise, _rms(noise)
-
-
-def _drop_kept_draws():
-    # kept past its sweep, a draw splits the heap under later large arrays (peak RSS +6%)
-    _unit_noise.cache_clear()
-    _design_resample_kernel.cache_clear()
-
-
 def _rms(x: np.ndarray) -> float:
     return float(np.sqrt(np.mean(x**2)))
 
 
-def apply_channel(clip: AudioClip, spec: ChannelSpec, salt: int = 0) -> AudioClip:
-    """Run a clip through a degradation channel.
+def _plus_noise(clip: AudioClip, noises, snr_db: float) -> AudioClip:
+    """clip plus each of the noises, scaled to the clip's RMS so that together
+    they sit snr_db below it (each 1/sqrt(len(noises)) of that level)."""
+    target = _rms(clip.samples) * 10.0 ** (-snr_db / 20.0) / np.sqrt(len(noises))
+    samples = clip.samples
+    for noise in noises:
+        measured = _rms(noise)
+        samples = samples + (noise * (target / measured) if measured else noise)
+    return AudioClip(samples, clip.sample_rate)
+
+
+def apply_channel(clips, spec: ChannelSpec, salt: int = 0) -> list:
+    """Run clips of one length and one rate through one draw of a degradation
+    channel; returns a new clip for each, in order.
 
     salt, a non-negative integer, decorrelates the channel noise between
-    experiment cells that share one spec; identical (clip, spec, salt)
-    triples give identical output.
+    experiment cells that share one spec; identical (clips, spec, salt)
+    triples give identical output, and each clip comes out as it would alone.
     attenuate_echo passes samples through unchanged here - it acts on the
     embedding stage (see echo_alpha_scale), since a weaker echo cannot be
     carved out of an already-watermarked waveform.
     """
+    if not clips:
+        raise ValueError("apply_channel needs at least one clip")
+    shapes = sorted({(len(clip), clip.sample_rate) for clip in clips})
+    if len(shapes) > 1:
+        raise ValueError(f"apply_channel's clips must share one length and one rate, "
+                         f"got (samples, Hz) {shapes}")
     kind = spec.kind
-    if kind in ("identity", "attenuate_echo"):
-        return clip.copy()
-    if kind == "additive_noise":
-        noise, measured = _unit_noise(spec.seed, salt, len(clip))
-        target = _rms(clip.samples) * 10.0 ** (-spec.snr_db / 20.0)
-        noisy = clip.samples + (noise * (target / measured) if measured else noise)
-        return AudioClip(noisy, clip.sample_rate)
+    if kind in ("identity", "attenuate_echo") or (kind == "composite" and not spec.stages):
+        return [clip.copy() for clip in clips]
+    if kind == "composite":
+        for index, stage in enumerate(spec.stages):
+            clips = apply_channel(clips, stage, salt=salt * _SALT_STRIDE + index)
+        return clips
     rng = np.random.default_rng([spec.seed, salt, 11])
+    if kind in ("additive_noise", "mixture"):
+        count = spec.interferers if kind == "mixture" else 1
+        noises = [rng.standard_normal(len(clips[0])) for _ in range(count)]
+        return [_plus_noise(clip, noises, spec.snr_db) for clip in clips]
     if kind == "resample_factor":
-        return _pitch_shift(clip, spec.factor)
+        return [_pitch_shift(clip, spec.factor) for clip in clips]
     if kind == "random_resample":
         if rng.random() < spec.probability:
             factor = rng.uniform(spec.low, spec.high)
-            return _pitch_shift(clip, factor)
-        return clip.copy()
-    if kind == "mixture":
-        total_rms = _rms(clip.samples) * 10.0 ** (-spec.snr_db / 20.0)
-        per_interferer = total_rms / np.sqrt(spec.interferers)
-        parts = [clip]
-        for _ in range(spec.interferers):
-            parts.append(AudioClip(_noise_at_rms(rng, len(clip), per_interferer), clip.sample_rate))
-        return mix(parts, [1.0] * len(parts))
-    if kind == "composite":
-        out = clip
-        for index, stage in enumerate(spec.stages):
-            out = apply_channel(out, stage, salt=salt * _SALT_STRIDE + index)
-        return out
+            return [_pitch_shift(clip, factor) for clip in clips]
+        return [clip.copy() for clip in clips]
     raise ValueError(f"unknown channel kind {kind!r}")
 
 
@@ -215,7 +202,7 @@ def _pitch_shift(clip: AudioClip, factor: float) -> AudioClip:
 
 def channel_length_bound(spec: ChannelSpec, n: int, rate: int) -> int:
     """A lower bound, whatever the salt, on the samples apply_channel returns for
-    an n-sample clip at `rate`: only pitch shifts change the length, and a larger
+    n-sample clips at `rate`: only pitch shifts change the length, and a larger
     factor leaves fewer samples. Each bound grows with n, so composites fold them."""
     if spec.kind == "composite":
         for stage in spec.stages:
@@ -317,11 +304,9 @@ def run_duration_sweep(corpus, key, durations, segments_per_clip: int,
     rows = []
     cells = _cells(corpus, durations, segments_per_clip, seed)
     for clip_id, duration, segment_index, salt, segment in cells:
-        conditions = [("embedded", embed(segment, effective_key))]
-        if include_clean:
-            conditions.append(("clean", segment))
-        for condition, prepared in conditions:
-            degraded = apply_channel(prepared, channel, salt=salt)
+        prepared = [embed(segment, effective_key)] + ([segment] if include_clean else [])
+        degraded_conditions = apply_channel(prepared, channel, salt=salt)
+        for condition, degraded in zip(("embedded", "clean"), degraded_conditions):
             if isinstance(key, EchoKey):
                 report = detect_single_echo(degraded, band=band, key_lag=key.delta)
             else:
@@ -336,7 +321,6 @@ def run_duration_sweep(corpus, key, durations, segments_per_clip: int,
                 z_at_key=report.z_at_key,
                 degenerate=report.profile.degenerate,
             ))
-    _drop_kept_draws()
     return rows
 
 
@@ -377,8 +361,7 @@ def run_bitflip_curve(corpus, spread_key: SpreadKey, flips, channel: ChannelSpec
     clean_scores = []
     false_scores = {k: [] for k in flips}
     for _, _, _, salt, segment in _cells(corpus, [duration_seconds], segments_per_clip, seed):
-        embedded = apply_channel(embed(segment, effective_key), channel, salt=salt)
-        clean = apply_channel(segment, channel, salt=salt)
+        embedded, clean = apply_channel([embed(segment, effective_key), segment], channel, salt=salt)
         c_embedded = real_cepstrum(embedded)
         c_clean = real_cepstrum(clean)
         true_scores.append(spread_profile(c_embedded, template, delta).z_at(delta))
@@ -386,7 +369,6 @@ def run_bitflip_curve(corpus, spread_key: SpreadKey, flips, channel: ChannelSpec
         for k in flips:
             perturbed = 2.0 * flip_bits(spread_key.pattern, k, seed=[seed, salt, k, 7]) - 1.0
             false_scores[k].append(spread_profile(c_embedded, perturbed, delta).z_at(delta))
-    _drop_kept_draws()
     flip_results = [(k, roc(true_scores, false_scores[k])) for k in flips]
     clean_roc = roc(true_scores, clean_scores)
     return BitflipCurve(

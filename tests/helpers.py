@@ -1,6 +1,7 @@
 """Shared test utilities: seeded signal factories, a small music synth, and
 the loop versions that vectorized code is checked against: the scalar
-exclusion z-score for zscore_profile, the per-window payload decoder for
+exclusion z-score for zscore_profile, scipy's correlation for
+cross_correlate, the per-window payload decoder for
 decode_payload, the whole-clip envelope and mix for the blockwise
 encode_payload, the bit-by-bit run scans and pairwise Hamming loop for
 patterns.max_run_length, repair_runs and PatternSet.distance_matrix, the
@@ -134,6 +135,12 @@ def single_echo_kernel(key) -> np.ndarray:
 def fft_convolve(x, h) -> np.ndarray:
     """Full linear convolution by one whole-clip FFT (scipy's fftconvolve)."""
     return scipy.signal.fftconvolve(x, h, mode="full")
+
+
+def scipy_correlate(cepstrum, template) -> np.ndarray:
+    """cross_correlate's output by scipy.signal.correlate, which correlates
+    directly (by np.correlate) or by FFT, whichever its size model finds faster."""
+    return scipy.signal.correlate(cepstrum, template, mode="valid")
 
 
 def additive_noise_fresh(clip, spec, salt) -> np.ndarray:

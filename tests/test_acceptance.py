@@ -188,7 +188,7 @@ def test_criterion_07_pitch_shift_lag_scaling():
         for seed in range(3):
             clip = noise_clip((930, seed), seconds=4.0, scale=1.0)
             tagged = embed_single_echo(clip, EchoKey(100, 0.4))
-            shifted = apply_channel(tagged, spec, salt=seed)
+            [shifted] = apply_channel([tagged], spec, salt=seed)
             lag = detect_single_echo(shifted, band=(25, 170)).argmax_lag
             expected = round(100 / factor)
             assert abs(lag - expected) <= 1, f"f={factor}: lag {lag} != {expected}"
@@ -205,10 +205,10 @@ def test_criterion_07_pitch_shift_lag_scaling():
             clip = noise_clip((940, seed), seconds=10.0, scale=1.0)
             tagged = embed_single_echo(clip, EchoKey(75, 0.4))
             true_scores.append(
-                detect_single_echo(apply_channel(tagged, spec, salt=seed),
+                detect_single_echo(apply_channel([tagged], spec, salt=seed)[0],
                                    band=(25, 170), key_lag=75).z_at_key)
             false_scores.append(
-                detect_single_echo(apply_channel(clip, spec, salt=1000 + seed),
+                detect_single_echo(apply_channel([clip], spec, salt=1000 + seed)[0],
                                    band=(25, 170), key_lag=75).z_at_key)
         aurocs.append(roc(true_scores, false_scores).auroc)
     assert all(a >= b - 1e-12 for a, b in zip(aurocs, aurocs[1:])), f"not non-increasing: {aurocs}"

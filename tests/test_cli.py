@@ -341,6 +341,17 @@ class TestTagDataset:
         assert "'overwrite' must be a boolean" in capsys.readouterr().err
         assert (tmp_path / "out" / "a.wav").read_bytes() == before
 
+    def test_format_flag_refused_before_any_write(self, tmp_path, keyfile, capsys):
+        self._make_corpus(tmp_path, ["a.wav"])
+        manifest = self._write_manifest(tmp_path, keyfile, [{"input": "a.wav", "key": "echo50"}])
+        assert run_cli("--format", "pcm16", "tag-dataset", "--manifest", manifest) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [
+            "echotag: error: tag-dataset takes its audio format from the manifest's 'format' field, "
+            "not from --format"]
+        assert not (tmp_path / "out").exists()
+
     def test_empty_manifest_succeeds(self, tmp_path, keyfile, capsys):
         manifest = self._write_manifest(tmp_path, keyfile, [])
         assert run_cli("tag-dataset", "--manifest", manifest) == 0
@@ -772,6 +783,7 @@ def test_commands_import_only_what_they_run(tmp_path, keyfile, carrier_wav):
                           "--out", str(tmp_path / "ps.json")]),
         ("--help", ["--help"]),
         ("detect", ["detect", "--in", str(carrier_wav), "--key-file", str(keyfile), "--key", "echo75"]),
+        ("spread detect", ["detect", "--in", str(carrier_wav), "--key-file", str(keyfile), "--key", "pn0"]),
         ("payload encode", ["payload", "encode", "--in", str(carrier_wav), "--out", str(tmp_path / "p.wav"),
                             "--bits", "a5", "--n-bits", "8"]),
         ("payload decode", ["payload", "decode", "--in", str(tmp_path / "p.wav"), "--n-bits", "8"]),
@@ -784,7 +796,7 @@ def test_commands_import_only_what_they_run(tmp_path, keyfile, carrier_wav):
     assert list(loaded) == ["import", *(step for step, _ in steps)]
     for step in ("import", "gen-patterns", "--help"):
         assert loaded[step] == [], step
-    for step in ("detect", "payload encode", "payload decode"):
+    for step in ("detect", "spread detect", "payload encode", "payload decode"):
         assert isinstance(loaded[step], list), (step, loaded[step])
         assert not [m for m in loaded[step] if m == "scipy.signal" or m.startswith("scipy.signal.")], step
     assert "scipy.io.wavfile" in loaded["detect"]

@@ -173,8 +173,8 @@ class TestDetectSingleEcho:
         for index, factor in enumerate(np.linspace(0.95, 1.05, 21)):
             clip = noise_clip((33, index), seconds=5.0, scale=1.0)
             tagged = embed_single_echo(clip, EchoKey(75, 0.4))
-            shifted = apply_channel(tagged, ChannelSpec(kind="resample_factor",
-                                                        factor=float(factor)), salt=index)
+            [shifted] = apply_channel([tagged], ChannelSpec(kind="resample_factor",
+                                                            factor=float(factor)), salt=index)
             plain = zscore_profile(real_cepstrum(shifted), (25, 125))
             report = detect_single_echo(shifted)
             assert np.max(plain.z) >= RAHMONIC_CANCEL_Z  # cancellation ran

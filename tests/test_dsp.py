@@ -5,7 +5,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from echotag import AudioClip, SpreadKey, convolve, cross_correlate, enhance_correlation, real_cepstrum
-from helpers import SR, fft_convolve, noise_clip
+from helpers import SR, fft_convolve, noise_clip, scipy_correlate
 
 # (delta, pattern length) of a spread kernel of 12-1,100 taps
 SPREAD_KERNEL_SHAPES = st.integers(min_value=2, max_value=1024).flatmap(
@@ -231,6 +231,23 @@ class TestCrossCorrelate:
         prefix = cross_correlate(c[: n_lags + length - 1], t)
         assert prefix.shape == full.shape
         assert np.max(np.abs(prefix - full)) <= 1e-12 * np.max(np.abs(full))
+
+    # spread detection correlates the first 2L + delta + 1 cepstrum samples with an
+    # L-bit template. scipy correlates such shapes directly, as numpy does, up to
+    # L = 2,048 (2,508 at delta 75) and by FFT beyond, which rounds differently.
+    @settings(max_examples=30, deadline=None)
+    @given(length=st.integers(min_value=1, max_value=4096), delta=st.integers(min_value=0, max_value=200),
+           seed=st.integers(min_value=0, max_value=2**31))
+    @example(length=1024, delta=75, seed=0)
+    @example(length=2048, delta=200, seed=1)
+    @example(length=2560, delta=75, seed=2)
+    @example(length=4096, delta=75, seed=3)
+    def test_equals_scipy_correlate_on_spread_shapes(self, length, delta, seed):
+        clip = noise_clip(seed, seconds=2.0, scale=1.0)
+        c = real_cepstrum(clip)[: 2 * length + delta + 1]
+        t = np.random.default_rng(seed).choice([-1.0, 1.0], size=length)
+        gap = np.max(np.abs(cross_correlate(c, t) - scipy_correlate(c, t)))
+        assert gap <= (0.0 if length <= 2048 else 1e-12)
 
 
 class TestEnhanceCorrelation:

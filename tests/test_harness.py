@@ -134,12 +134,12 @@ CHANNELS = st.recursive(
 class TestApplyChannel:
     def test_identity_bit_exact(self):
         clip = noise_clip(0, seconds=0.1)
-        out = apply_channel(clip, ChannelSpec())
+        [out] = apply_channel([clip], ChannelSpec())
         assert np.array_equal(out.samples, clip.samples)
 
     def test_attenuate_passthrough(self):
         clip = noise_clip(1, seconds=0.1)
-        out = apply_channel(clip, ChannelSpec(kind="attenuate_echo", ratio=0.25))
+        [out] = apply_channel([clip], ChannelSpec(kind="attenuate_echo", ratio=0.25))
         assert np.array_equal(out.samples, clip.samples)
 
     def test_additive_noise_exact_snr(self):
@@ -148,22 +148,22 @@ class TestApplyChannel:
         samples = rng.standard_normal(SR)
         samples /= np.sqrt(np.mean(samples**2))
         clip = AudioClip(samples, SR)
-        out = apply_channel(clip, ChannelSpec(kind="additive_noise", snr_db=20.0, seed=3))
+        [out] = apply_channel([clip], ChannelSpec(kind="additive_noise", snr_db=20.0, seed=3))
         added_rms = np.sqrt(np.mean((out.samples - clip.samples) ** 2))
         assert added_rms == pytest.approx(0.1, rel=0.01)
 
     def test_additive_noise_seeded(self):
         clip = noise_clip(3, seconds=0.1)
         spec = ChannelSpec(kind="additive_noise", snr_db=20.0, seed=4)
-        a = apply_channel(clip, spec, salt=7)
-        b = apply_channel(clip, spec, salt=7)
-        c = apply_channel(clip, spec, salt=8)
+        [a] = apply_channel([clip], spec, salt=7)
+        [b] = apply_channel([clip], spec, salt=7)
+        [c] = apply_channel([clip], spec, salt=8)
         assert np.array_equal(a.samples, b.samples)
         assert not np.array_equal(a.samples, c.samples)
 
     # (seed, salt, n) from a small pool, visited in a drawn order so one repeats
-    # and alternates with others (a, b, a): the kept draw must never stand in
-    # for another key's, whatever the clip
+    # and alternates with others (a, b, a): an earlier call's draw must never
+    # stand in for another key's, whatever the clip
     @settings(max_examples=40, deadline=None)
     @given(pool=st.lists(st.tuples(st.integers(0, 3), st.integers(0, 3), st.integers(1, 500)),
                          min_size=1, max_size=3),
@@ -175,26 +175,21 @@ class TestApplyChannel:
             seed, salt, n = pool[index % len(pool)]
             clip = AudioClip(np.random.default_rng(step).standard_normal(n), SR)
             spec = ChannelSpec(kind="additive_noise", snr_db=snr_db, seed=seed)
-            out = apply_channel(clip, spec, salt=salt)
+            [out] = apply_channel([clip], spec, salt=salt)
             assert np.array_equal(out.samples, additive_noise_fresh(clip, spec, salt))
             assert out.samples.flags.writeable
-
-    def test_kept_noise_is_read_only(self):
-        noise, _ = harness._unit_noise(0, 0, 16)
-        with pytest.raises(ValueError):
-            noise[0] = 1.0
 
     def test_a_float_salt_is_refused_after_an_equal_int_salt(self):
         clip = noise_clip(3, seconds=0.01)
         spec = ChannelSpec(kind="additive_noise", seed=4)
-        apply_channel(clip, spec, salt=2)
+        apply_channel([clip], spec, salt=2)
         with pytest.raises(TypeError):
-            apply_channel(clip, spec, salt=2.0)
+            apply_channel([clip], spec, salt=2.0)
 
     def test_pitch_factor_scales_lag(self):
         clip = noise_clip(4, seconds=3.0, scale=1.0)
         tagged = embed_single_echo(clip, EchoKey(100, 0.4))
-        shifted = apply_channel(tagged, ChannelSpec(kind="resample_factor", factor=1.25))
+        [shifted] = apply_channel([tagged], ChannelSpec(kind="resample_factor", factor=1.25))
         assert shifted.sample_rate == SR
         assert len(shifted) == pytest.approx(len(tagged) / 1.25, rel=1e-3)
         report = detect_single_echo(shifted, band=(25, 170))
@@ -202,9 +197,9 @@ class TestApplyChannel:
 
     def test_random_resample_probability_extremes(self):
         clip = noise_clip(5, seconds=0.5)
-        never = apply_channel(clip, ChannelSpec(kind="random_resample", probability=0.0, seed=1))
+        [never] = apply_channel([clip], ChannelSpec(kind="random_resample", probability=0.0, seed=1))
         assert np.array_equal(never.samples, clip.samples)
-        always = apply_channel(clip, ChannelSpec(kind="random_resample", probability=1.0, seed=1))
+        [always] = apply_channel([clip], ChannelSpec(kind="random_resample", probability=1.0, seed=1))
         assert len(always) != len(clip)
 
     def test_mixture_adds_interferers_at_snr(self):
@@ -212,7 +207,7 @@ class TestApplyChannel:
         samples = rng.standard_normal(SR)
         samples /= np.sqrt(np.mean(samples**2))
         clip = AudioClip(samples, SR)
-        out = apply_channel(clip, ChannelSpec(kind="mixture", interferers=2, snr_db=0.0, seed=7))
+        [out] = apply_channel([clip], ChannelSpec(kind="mixture", interferers=2, snr_db=0.0, seed=7))
         added = out.samples - clip.samples
         assert np.sqrt(np.mean(added**2)) == pytest.approx(1.0, rel=0.05)
 
@@ -221,14 +216,39 @@ class TestApplyChannel:
            rate=st.sampled_from([8000, 44100, 48000]), salt=st.integers(0, 2**32))
     def test_length_bound_holds(self, spec, n, rate, salt):
         clip = AudioClip(np.random.default_rng(n).standard_normal(n), rate)
-        assert channel_length_bound(spec, n, rate) <= len(apply_channel(clip, spec, salt))
+        assert channel_length_bound(spec, n, rate) <= len(apply_channel([clip], spec, salt)[0])
 
     @settings(max_examples=100, deadline=None)
     @given(factor=PITCH_FACTORS, n=st.integers(1, 3000), rate=st.sampled_from([8000, 44100, 48000]))
     def test_length_bound_exact_for_a_fixed_factor(self, factor, n, rate):
         spec = ChannelSpec(kind="resample_factor", factor=factor)
         clip = AudioClip(np.zeros(n), rate)
-        assert channel_length_bound(spec, n, rate) == len(apply_channel(clip, spec))
+        assert channel_length_bound(spec, n, rate) == len(apply_channel([clip], spec)[0])
+
+    # one call degrades all of a cell's conditions: each clip comes out byte for
+    # byte as it would alone, in arrays of its own
+    @settings(max_examples=100, deadline=None)
+    @given(spec=CHANNELS, n=st.integers(1, 3000),
+           rate=st.sampled_from([8000, 44100, 48000]), salt=st.integers(0, 2**32))
+    def test_a_list_is_degraded_as_each_clip_alone_into_new_arrays(self, spec, n, rate, salt):
+        a, b = (AudioClip(np.random.default_rng([n, i]).standard_normal(n), rate) for i in range(2))
+        together = apply_channel([a, b], spec, salt)
+        alone = [apply_channel([clip], spec, salt)[0] for clip in (a, b)]
+        assert [(c.sample_rate, c.samples.tobytes()) for c in together] == \
+               [(c.sample_rate, c.samples.tobytes()) for c in alone]
+        assert not [(i, j) for i, out in enumerate(together) for j, clip in enumerate((a, b))
+                    if np.shares_memory(out.samples, clip.samples)]
+
+    @pytest.mark.parametrize("clips, problem", [
+        ([], "needs at least one clip"),
+        ([AudioClip(np.ones(4), SR), AudioClip(np.ones(5), SR)],
+         r"one length and one rate, got \(samples, Hz\) \[\(4, 44100\), \(5, 44100\)\]"),
+        ([AudioClip(np.ones(4), SR), AudioClip(np.ones(4), 48000)],
+         r"one length and one rate, got \(samples, Hz\) \[\(4, 44100\), \(4, 48000\)\]"),
+    ], ids=["empty", "lengths", "rates"])
+    def test_clips_must_share_one_length_and_one_rate(self, clips, problem):
+        with pytest.raises(ValueError, match=problem):
+            apply_channel(clips, ChannelSpec(kind="additive_noise"))
 
     def test_composite_identity_is_monoid_identity(self):
         clip = noise_clip(8, seconds=0.2)
@@ -236,8 +256,8 @@ class TestApplyChannel:
         wrapped = ChannelSpec(kind="composite", stages=[ChannelSpec(), lone])
         # identity stage contributes nothing; the noise stage sees the same
         # (seed, salt-derived) stream in both arrangements
-        direct = apply_channel(clip, lone, salt=3 * 1000003 + 1)
-        composed = apply_channel(clip, wrapped, salt=3)
+        [direct] = apply_channel([clip], lone, salt=3 * 1000003 + 1)
+        [composed] = apply_channel([clip], wrapped, salt=3)
         assert np.array_equal(direct.samples, composed.samples)
 
 
@@ -273,7 +293,7 @@ class TestDurationSweep:
         z_weak = np.median([r.z_at_key for r in weak if r.condition == "embedded"])
         assert z_weak < z_strong
 
-    def test_rows_equal_with_memos_cleared_before_each_channel(self, monkeypatch):
+    def test_rows_equal_with_the_kernel_memo_cleared_before_each_channel(self, monkeypatch):
         # eval-pitch's channel: a random pitch shift, then noise
         corpus = [(f"n{v}", noise_clip((53, v), seconds=2.5, scale=1.0)) for v in range(2)]
         pitch = {"kind": "random_resample", "probability": 0.5, "low": 0.97, "high": 1.03, "seed": 1}
@@ -281,21 +301,11 @@ class TestDurationSweep:
         channel = ChannelSpec.from_dict({"kind": "composite", "stages": [pitch, noise], "seed": 1})
         kwargs = dict(durations=[1.0, 2.0], segments_per_clip=2, channel=channel, seed=2)
         memoized = run_duration_sweep(corpus, EchoKey(75, 0.4), **kwargs)
-        # nothing is kept past the sweep
-        assert harness._unit_noise.cache_info().currsize == 0
-        assert audio._design_resample_kernel.cache_info().currsize == 0
-        # while it runs, each cell's clean condition reuses its embedded condition's draws
-        with monkeypatch.context() as patch:
-            patch.setattr(harness, "_drop_kept_draws", lambda: None)
-            assert run_duration_sweep(corpus, EchoKey(75, 0.4), **kwargs) == memoized
-        assert harness._unit_noise.cache_info().hits == 8
-        assert audio._design_resample_kernel.cache_info().hits > 0
         original = harness.apply_channel
 
-        def cold(clip, spec, salt=0):
-            harness._unit_noise.cache_clear()
+        def cold(clips, spec, salt=0):
             audio._design_resample_kernel.cache_clear()
-            return original(clip, spec, salt)
+            return original(clips, spec, salt)
 
         monkeypatch.setattr(harness, "apply_channel", cold)
         assert run_duration_sweep(corpus, EchoKey(75, 0.4), **kwargs) == memoized
@@ -334,13 +344,6 @@ class TestBitflipCurve:
         key = SpreadKey(generate_pattern(64, 0), delta=8)
         with pytest.raises(ValueError):
             run_bitflip_curve([("a", noise_clip(0, seconds=1.0))], key, flips=[65])
-
-    def test_nothing_kept_past_the_curve(self):
-        key = SpreadKey(generate_pattern(64, 0), delta=8)
-        channel = ChannelSpec(kind="additive_noise", snr_db=20.0, seed=1)
-        run_bitflip_curve([("a", noise_clip(0, seconds=1.0))], key, flips=[8], channel=channel,
-                          duration_seconds=0.5, segments_per_clip=2)
-        assert harness._unit_noise.cache_info().currsize == 0
 
     def test_true_score_is_detect_spread_z(self):
         # a clip exactly as long as the segment, so the segment is the clip

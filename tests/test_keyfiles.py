@@ -259,7 +259,7 @@ def test_one_bad_field_loads_or_raises_config_error(valid_files, name, path, val
     except ConfigError:
         return  # any other exception fails the test
     if name == "config":  # a channel that loads also runs
-        apply_channel(noise_clip(0, seconds=0.1), loaded.channel)
+        apply_channel([noise_clip(0, seconds=0.1)], loaded.channel)
 
 
 # the pattern-set loader does not read these two header fields
