@@ -3,11 +3,12 @@
 Single echoes and time-spread pseudorandom echo patterns are embedded across
 whole clips and recovered from the real cepstrum via exclusion z-scores; an
 evaluation harness measures robustness through simulated degradation
-channels (noise, mixing, pitch shift).
+channels (noise, pitch shift, echo attenuation).
 """
 
 from .audio import DEFAULT_SAMPLE_RATE, AudioClip, load_audio, mix, resample, save_audio
 from .detect import (
+    DEFAULT_SINGLE_ECHO_BAND,
     DetectionReport,
     ZScoreProfile,
     detect_single_echo,
@@ -16,7 +17,6 @@ from .detect import (
 )
 from .dsp import convolve, cross_correlate, enhance_correlation, real_cepstrum
 from .embed import (
-    DEFAULT_SINGLE_ECHO_BAND,
     EchoKey,
     SpreadKey,
     embed,

@@ -40,8 +40,8 @@ import sys
 from concurrent.futures import ThreadPoolExecutor
 
 from .audio import DEFAULT_SAMPLE_RATE, load_audio, resample, save_audio
-from .detect import detect_single_echo, detect_spread
-from .embed import DEFAULT_SINGLE_ECHO_BAND, SpreadKey, embed
+from .detect import DEFAULT_SINGLE_ECHO_BAND, detect_single_echo, detect_spread
+from .embed import SpreadKey, embed
 from .evalrun import load_eval_config, run_evaluation
 from .keyfiles import (
     BOOLEAN,
@@ -84,7 +84,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--sample-rate", type=int, default=DEFAULT_SAMPLE_RATE,
                         help="canonical sample rate (default 44100)")
     parser.add_argument("--format", default=None,
-                        help="output format: pcm16/float32 for audio, json/csv for reports")
+                        help="output format: pcm16/float32 for embed and payload encode, json/csv for detect")
     parser.add_argument("-v", "--verbose", action="store_true", help="log at DEBUG level")
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -111,10 +111,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--in", dest="in_path", required=True)
     p.add_argument("--key-file", required=True)
     p.add_argument("--key", default=None)
-    p.add_argument("--band", type=int, nargs=2, default=list(DEFAULT_SINGLE_ECHO_BAND),
-                   metavar=("A", "B"), help="scan band for single-echo detection")
+    p.add_argument("--band", type=int, nargs=2, default=None, metavar=("A", "B"),
+                   help="scan band for a single-echo key (default %d %d)" % DEFAULT_SINGLE_ECHO_BAND)
     p.add_argument("--enhanced", action="store_true",
-                   help="sharpen the spread correlation before scoring")
+                   help="sharpen a spread key's correlation before scoring")
     p.add_argument("--no-resample", action="store_true")
     p.add_argument("--full-profile", action="store_true",
                    help="include the whole z profile in JSON output")
@@ -157,6 +157,11 @@ def _format(args, default: str, formats) -> str:
     return out_format
 
 
+def _refuse_format(args, message: str) -> None:
+    if args.format is not None:
+        raise CommandError(message)
+
+
 def _require_out_dir(path) -> None:
     out_dir = os.path.dirname(path) or "."
     if not os.path.isdir(out_dir):  # checked before the command's work, the slow part
@@ -170,6 +175,7 @@ def _canonicalize(clip, target_rate, no_resample):
 
 
 def cmd_gen_patterns(args) -> int:
+    _refuse_format(args, "gen-patterns writes its pattern set as JSON and takes no --format")
     _require_out_dir(args.out)
     ps = generate_pattern_set(args.count, args.length, args.seed)
     save_pattern_set(ps, args.out)
@@ -243,9 +249,8 @@ def load_manifest(path):
 
 
 def cmd_tag_dataset(args) -> int:
-    if args.format is not None:
-        raise CommandError("tag-dataset takes its audio format from the manifest's 'format' field, "
-                           "not from --format")
+    _refuse_format(args, "tag-dataset takes its audio format from the manifest's 'format' field, "
+                         "not from --format")
     entries, keys, base_out, do_resample, out_format = load_manifest(args.manifest)
     os.makedirs(base_out, exist_ok=True)
 
@@ -287,11 +292,15 @@ def cmd_tag_dataset(args) -> int:
 def cmd_detect(args) -> int:
     out_format = _format(args, "json", ("json", "csv"))
     key_name, key = _pick_key(load_key_file(args.key_file), args.key)
+    if isinstance(key, SpreadKey) and args.band is not None:
+        raise CommandError(f"--band is for single-echo keys, and key {key_name!r} is a spread key")
+    if not isinstance(key, SpreadKey) and args.enhanced:
+        raise CommandError(f"--enhanced is for spread keys, and key {key_name!r} is a single echo")
     clip = _canonicalize(load_audio(args.in_path), args.sample_rate, args.no_resample)
     if isinstance(key, SpreadKey):
         report = detect_spread(clip, key, enhanced=args.enhanced)
     else:
-        report = detect_single_echo(clip, band=tuple(args.band), key_lag=key.delta)
+        report = detect_single_echo(clip, tuple(args.band or DEFAULT_SINGLE_ECHO_BAND), key_lag=key.delta)
     row = {"clip_id": os.path.basename(args.in_path), "key_id": key_name,
            "duration_seconds": clip.duration_seconds,
            **report.to_dict(include_profile=args.full_profile)}
@@ -323,6 +332,7 @@ def cmd_payload(args) -> int:
             "bits_per_second": bits_per_second(clip.sample_rate, config),
         }, sort_keys=True))
     else:
+        _refuse_format(args, "payload decode prints its bits as JSON and takes no --format")
         if args.n_bits is None:
             raise CommandError("payload decode needs --n-bits")
         if args.n_bits < 0:
@@ -333,6 +343,7 @@ def cmd_payload(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
+    _refuse_format(args, "evaluate writes results.csv and summary.json and takes no --format")
     summary = run_evaluation(load_eval_config(args.config))
     print(json.dumps(summary, sort_keys=True))
     return 0

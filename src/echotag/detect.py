@@ -26,7 +26,9 @@ import numpy as np
 
 from .audio import AudioClip
 from .dsp import cross_correlate, enhance_correlation, real_cepstrum
-from .embed import DEFAULT_SINGLE_ECHO_BAND, SpreadKey
+from .embed import SpreadKey
+
+DEFAULT_SINGLE_ECHO_BAND = (25, 125)
 
 # sigma below this is treated as degenerate (constant neighborhood)
 SIGMA_FLOOR = 1e-12

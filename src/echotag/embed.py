@@ -15,9 +15,6 @@ import numpy as np
 from .audio import AudioClip
 from .dsp import convolve
 
-# scan range the detector assumes for single echoes
-DEFAULT_SINGLE_ECHO_BAND = (25, 125)
-
 DEFAULT_SINGLE_ALPHA = 0.4
 DEFAULT_SPREAD_ALPHA = 0.01
 DEFAULT_SPREAD_DELTA = 75

@@ -33,8 +33,8 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .audio import atomic_output, load_audio
-from .detect import SPREAD_BAND_START, scoring_length
-from .embed import DEFAULT_SINGLE_ECHO_BAND, SpreadKey
+from .detect import DEFAULT_SINGLE_ECHO_BAND, SPREAD_BAND_START, scoring_length
+from .embed import SpreadKey
 from .harness import (
     SEED,
     ChannelSpec,

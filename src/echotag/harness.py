@@ -1,11 +1,13 @@
 """Evaluation harness: degradation channels, ROC/AUROC, experiment sweeps.
 
 Generative models are stood in for by parameterized channels (noise, pitch
-shift via resampling, mixing, echo attenuation) so the statistical pipeline
+shift via resampling, echo attenuation) so the statistical pipeline
 (z-scores, duration trends, bit-flip ROC curves) runs end to end in seconds.
 CHANNEL_FIELDS is the one table of channel kinds: the fields each kind reads
 and what each field must be. A ChannelSpec is checked against it when built,
-and to_dict writes only the fields its kind reads.
+and to_dict writes only the fields its kind reads. _stages is the one walk
+over a channel: depth first, stage i of a composite that runs under salt s
+runs under salt s * _SALT_STRIDE + i, so sibling stages draw apart.
 
 All randomness flows from explicit non-negative seeds; a config run twice
 produces byte-identical reports. The duration sweep and the bit-flip curve
@@ -18,19 +20,19 @@ channel draw: the same pitch factor and the same noise, scaled to each clip.
 from __future__ import annotations
 
 import itertools
+import math
 import reprlib
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .audio import AudioClip, resample, resampled_length
-from .detect import detect_single_echo, detect_spread, spread_profile
+from .detect import DEFAULT_SINGLE_ECHO_BAND, detect_single_echo, detect_spread, spread_profile
 from .dsp import real_cepstrum
-from .embed import DEFAULT_SINGLE_ECHO_BAND, EchoKey, SpreadKey, embed, scaled_key
+from .embed import EchoKey, SpreadKey, embed, scaled_key
 from .keyfiles import INTEGER, NUMBER, JsonFields, Kind
 from .patterns import flip_bits
 
-# salt decorrelates the noise drawn by sibling stages of a composite channel
 _SALT_STRIDE = 1000003
 
 SEED = Kind("a non-negative integer", lambda v: INTEGER.ok(v) and v >= 0)
@@ -44,7 +46,8 @@ CHANNEL_FIELDS = {
     # no-op
     "identity": {},
     # scales the embedding alpha by ratio (a model that reproduces the echo more
-    # weakly); acts on the embedding stage (echo_alpha_scale), samples pass through
+    # weakly): a weaker echo cannot be carved out of an already-watermarked
+    # waveform, so it acts on the embedding (echo_alpha_scale); samples pass through
     "attenuate_echo": {"ratio": Kind("a number in (0, 1]", lambda v: NUMBER.ok(v) and 0 < v <= 1)},
     # white noise at snr_db below the clip RMS
     "additive_noise": {"snr_db": SNR_DB},
@@ -56,11 +59,6 @@ CHANNEL_FIELDS = {
         "probability": Kind("a number from 0 to 1", lambda v: NUMBER.ok(v) and 0 <= v <= 1),
         "low": PITCH_FACTOR,
         "high": PITCH_FACTOR,
-    },
-    # interferers clip-length noise clips mixed in at snr_db in total
-    "mixture": {
-        "interferers": Kind("an integer from 1 to 16", lambda v: INTEGER.ok(v) and 1 <= v <= 16),
-        "snr_db": SNR_DB,
     },
     # stages applied in order
     "composite": {"stages": Kind("a list of channels", lambda v: isinstance(v, list))},
@@ -81,7 +79,6 @@ class ChannelSpec:
     probability: float = 0.5
     low: float = 0.75
     high: float = 1.25
-    interferers: int = 2
     stages: list = field(default_factory=list)
     seed: int = 0
 
@@ -123,30 +120,29 @@ class ChannelSpec:
         return cls(**d)
 
 
+def _stages(spec: ChannelSpec, salt: int = 0):
+    """(stage, salt) for each non-composite stage of the channel, in run order."""
+    if spec.kind != "composite":
+        yield spec, salt
+        return
+    for index, stage in enumerate(spec.stages):
+        yield from _stages(stage, salt * _SALT_STRIDE + index)
+
+
 def echo_alpha_scale(spec: ChannelSpec) -> float:
-    """Product of all attenuate_echo ratios in the channel (1.0 if none)."""
-    if spec.kind == "attenuate_echo":
-        return spec.ratio
-    if spec.kind == "composite":
-        out = 1.0
-        for stage in spec.stages:
-            out *= echo_alpha_scale(stage)
-        return out
-    return 1.0
+    """Product of all attenuate_echo ratios in the channel, in run order (1.0 if none)."""
+    return math.prod((stage.ratio for stage, _ in _stages(spec) if stage.kind == "attenuate_echo"), start=1.0)
 
 
 def _rms(x: np.ndarray) -> float:
     return float(np.sqrt(np.mean(x**2)))
 
 
-def _plus_noise(clip: AudioClip, noises, snr_db: float) -> AudioClip:
-    """clip plus each of the noises, scaled to the clip's RMS so that together
-    they sit snr_db below it (each 1/sqrt(len(noises)) of that level)."""
-    target = _rms(clip.samples) * 10.0 ** (-snr_db / 20.0) / np.sqrt(len(noises))
-    samples = clip.samples
-    for noise in noises:
-        measured = _rms(noise)
-        samples = samples + (noise * (target / measured) if measured else noise)
+def _plus_noise(clip: AudioClip, noise: np.ndarray, snr_db: float) -> AudioClip:
+    """clip plus noise scaled to sit snr_db below the clip's RMS."""
+    target = _rms(clip.samples) * 10.0 ** (-snr_db / 20.0)
+    measured = _rms(noise)
+    samples = clip.samples + (noise * (target / measured) if measured else noise)
     return AudioClip(samples, clip.sample_rate)
 
 
@@ -157,9 +153,6 @@ def apply_channel(clips, spec: ChannelSpec, salt: int = 0) -> list:
     salt, a non-negative integer, decorrelates the channel noise between
     experiment cells that share one spec; identical (clips, spec, salt)
     triples give identical output, and each clip comes out as it would alone.
-    attenuate_echo passes samples through unchanged here - it acts on the
-    embedding stage (see echo_alpha_scale), since a weaker echo cannot be
-    carved out of an already-watermarked waveform.
     """
     if not clips:
         raise ValueError("apply_channel needs at least one clip")
@@ -167,26 +160,18 @@ def apply_channel(clips, spec: ChannelSpec, salt: int = 0) -> list:
     if len(shapes) > 1:
         raise ValueError(f"apply_channel's clips must share one length and one rate, "
                          f"got (samples, Hz) {shapes}")
-    kind = spec.kind
-    if kind in ("identity", "attenuate_echo") or (kind == "composite" and not spec.stages):
-        return [clip.copy() for clip in clips]
-    if kind == "composite":
-        for index, stage in enumerate(spec.stages):
-            clips = apply_channel(clips, stage, salt=salt * _SALT_STRIDE + index)
-        return clips
-    rng = np.random.default_rng([spec.seed, salt, 11])
-    if kind in ("additive_noise", "mixture"):
-        count = spec.interferers if kind == "mixture" else 1
-        noises = [rng.standard_normal(len(clips[0])) for _ in range(count)]
-        return [_plus_noise(clip, noises, spec.snr_db) for clip in clips]
-    if kind == "resample_factor":
-        return [_pitch_shift(clip, spec.factor) for clip in clips]
-    if kind == "random_resample":
-        if rng.random() < spec.probability:
-            factor = rng.uniform(spec.low, spec.high)
-            return [_pitch_shift(clip, factor) for clip in clips]
-        return [clip.copy() for clip in clips]
-    raise ValueError(f"unknown channel kind {kind!r}")
+    out = clips  # noise and pitch stages replace the list
+    for stage, stage_salt in _stages(spec, salt):
+        rng = np.random.default_rng([stage.seed, stage_salt, 11])
+        if stage.kind == "additive_noise":
+            noise = rng.standard_normal(len(out[0]))
+            out = [_plus_noise(clip, noise, stage.snr_db) for clip in out]
+        elif stage.kind == "resample_factor":
+            out = [_pitch_shift(clip, stage.factor) for clip in out]
+        elif stage.kind == "random_resample" and rng.random() < stage.probability:
+            factor = rng.uniform(stage.low, stage.high)
+            out = [_pitch_shift(clip, factor) for clip in out]
+    return [clip.copy() for clip in clips] if out is clips else out
 
 
 def _pitched_rate(rate: int, factor: float) -> int:
@@ -194,8 +179,6 @@ def _pitched_rate(rate: int, factor: float) -> int:
 
 
 def _pitch_shift(clip: AudioClip, factor: float) -> AudioClip:
-    # pitch up by `factor` = resample to rate/factor, reinterpret at the old
-    # rate: duration and echo lags scale by 1/factor
     shifted = resample(clip, _pitched_rate(clip.sample_rate, factor))
     return AudioClip(shifted.samples, clip.sample_rate)
 
@@ -203,16 +186,13 @@ def _pitch_shift(clip: AudioClip, factor: float) -> AudioClip:
 def channel_length_bound(spec: ChannelSpec, n: int, rate: int) -> int:
     """A lower bound, whatever the salt, on the samples apply_channel returns for
     n-sample clips at `rate`: only pitch shifts change the length, and a larger
-    factor leaves fewer samples. Each bound grows with n, so composites fold them."""
-    if spec.kind == "composite":
-        for stage in spec.stages:
-            n = channel_length_bound(stage, n, rate)
-        return n
-    if spec.kind == "resample_factor":
-        return resampled_length(n, rate, _pitched_rate(rate, spec.factor))
-    if spec.kind == "random_resample" and spec.probability > 0:
-        shifted = resampled_length(n, rate, _pitched_rate(rate, spec.high))
-        return shifted if spec.probability == 1 else min(n, shifted)
+    factor leaves fewer samples. Each stage's bound grows with n, so they fold."""
+    for stage, _ in _stages(spec):
+        if stage.kind == "resample_factor":
+            n = resampled_length(n, rate, _pitched_rate(rate, stage.factor))
+        elif stage.kind == "random_resample" and stage.probability > 0:
+            shifted = resampled_length(n, rate, _pitched_rate(rate, stage.high))
+            n = shifted if stage.probability == 1 else min(n, shifted)
     return n
 
 

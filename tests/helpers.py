@@ -8,7 +8,8 @@ patterns.max_run_length, repair_runs and PatternSet.distance_matrix, the
 single-echo kernel that embed_single_echo must equal a convolution with, and
 the unmemoized forms of the work an evaluate cell shares between its two
 conditions: the whole-clip FFT convolution, a fresh-rng additive_noise draw
-and a freshly designed resample kernel.
+and a freshly designed resample kernel, and the recursions over a composite
+channel's stages that harness's one stage walk replaced.
 
 The synthetic music clips stand in for real corpus material: bass, chords,
 melody and percussion with per-note envelopes, deterministic per seed.
@@ -17,12 +18,14 @@ melody and percussion with per-note envelopes, deterministic per seed.
 import numpy as np
 import scipy.signal
 
-from echotag import AudioClip, EchoKey, embed_single_echo, real_cepstrum
+from echotag import AudioClip, EchoKey, embed_single_echo, real_cepstrum, resample
 from echotag.audio import RESAMPLE_KAISER_BETA, RESAMPLE_TAPS_PER_PHASE, resampled_length
 from echotag.detect import SIGMA_FLOOR
 from echotag.patterns import MAX_RUN
 
 SR = 44100
+# stage i of a composite channel run under salt s runs under salt s * SALT_STRIDE + i
+SALT_STRIDE = 1000003
 
 
 def exclusion_zscore(values, i: int, a: int, b: int, halfwidth: int = 0):
@@ -150,6 +153,58 @@ def additive_noise_fresh(clip, spec, salt) -> np.ndarray:
     measured = np.sqrt(np.mean(noise**2))
     target = float(np.sqrt(np.mean(clip.samples**2))) * 10.0 ** (-spec.snr_db / 20.0)
     return clip.samples + (noise if measured == 0 else noise * (target / measured))
+
+
+def _pitch_shift_recursive(clip, factor):
+    return AudioClip(resample(clip, int(round(clip.sample_rate / factor))).samples, clip.sample_rate)
+
+
+def apply_channel_recursive(clips, spec, salt=0) -> list:
+    """apply_channel with a composite calling it again on each of its stages."""
+    kind = spec.kind
+    if kind in ("identity", "attenuate_echo") or (kind == "composite" and not spec.stages):
+        return [clip.copy() for clip in clips]
+    if kind == "composite":
+        for index, stage in enumerate(spec.stages):
+            clips = apply_channel_recursive(clips, stage, salt=salt * SALT_STRIDE + index)
+        return clips
+    rng = np.random.default_rng([spec.seed, salt, 11])
+    if kind == "additive_noise":
+        return [AudioClip(additive_noise_fresh(clip, spec, salt), clip.sample_rate) for clip in clips]
+    if kind == "resample_factor":
+        return [_pitch_shift_recursive(clip, spec.factor) for clip in clips]
+    if kind == "random_resample":
+        if rng.random() < spec.probability:
+            factor = rng.uniform(spec.low, spec.high)
+            return [_pitch_shift_recursive(clip, factor) for clip in clips]
+        return [clip.copy() for clip in clips]
+    raise ValueError(f"unknown channel kind {kind!r}")
+
+
+def channel_length_bound_recursive(spec, n: int, rate: int) -> int:
+    """channel_length_bound with a composite folding its stages' bounds by recursion."""
+    if spec.kind == "composite":
+        for stage in spec.stages:
+            n = channel_length_bound_recursive(stage, n, rate)
+        return n
+    if spec.kind == "resample_factor":
+        return resampled_length(n, rate, int(round(rate / spec.factor)))
+    if spec.kind == "random_resample" and spec.probability > 0:
+        shifted = resampled_length(n, rate, int(round(rate / spec.high)))
+        return shifted if spec.probability == 1 else min(n, shifted)
+    return n
+
+
+def echo_alpha_scale_recursive(spec) -> float:
+    """echo_alpha_scale with a composite multiplying its stages' own products."""
+    if spec.kind == "attenuate_echo":
+        return spec.ratio
+    if spec.kind == "composite":
+        out = 1.0
+        for stage in spec.stages:
+            out *= echo_alpha_scale_recursive(stage)
+        return out
+    return 1.0
 
 
 def resample_fresh(clip, up: int, down: int) -> np.ndarray:

@@ -7,8 +7,8 @@ import numpy as np
 import pytest
 
 import echotag
-from echotag import (AudioClip, EchoKey, SpreadKey, generate_pattern, load_audio, load_key_file,
-                     save_audio, save_key_file)
+from echotag import (AudioClip, EchoKey, SpreadKey, detect_spread, generate_pattern, load_audio,
+                     load_key_file, save_audio, save_key_file)
 from echotag.cli import main
 from echotag.evalrun import load_eval_config
 from echotag.keyfiles import ConfigError, bits_to_hex, load_pattern_set
@@ -152,6 +152,48 @@ class TestEmbedDetect:
         report = json.loads(capsys.readouterr().out)
         assert report["argmax_lag"] == 75
         assert report["source"] == "spread_correlation"
+
+    def test_enhanced_spread_detection(self, tmp_path, keyfile, capsys):
+        carrier = tmp_path / "long.wav"
+        save_audio(noise_clip(102, seconds=10.0, scale=1.0), carrier, format="float32")
+        tagged = tmp_path / "spread.wav"
+        assert run_cli("embed", "--in", carrier, "--out", tagged, "--key-file", keyfile, "--key", "pn0") == 0
+        capsys.readouterr()
+        assert run_cli("detect", "--in", tagged, "--key-file", keyfile, "--key", "pn0", "--enhanced") == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["source"] == "spread_correlation_enhanced"
+        assert report["argmax_lag"] == 75
+        key = load_key_file(keyfile)["pn0"]
+        expected = detect_spread(load_audio(tagged), key, enhanced=True).to_dict(include_profile=False)
+        assert {name: report[name] for name in expected} == expected
+
+    @pytest.mark.parametrize("band, expected", [([], [25, 125]), (["--band", 50, 100], [50, 100])],
+                             ids=["default-band", "band-50-100"])
+    def test_full_profile_holds_a_z_per_lag_of_the_band(self, tmp_path, keyfile, carrier_wav, capsys,
+                                                        band, expected):
+        tagged = tmp_path / "tagged.wav"
+        assert run_cli("embed", "--in", carrier_wav, "--out", tagged,
+                       "--key-file", keyfile, "--key", "echo75") == 0
+        capsys.readouterr()
+        assert run_cli("detect", "--in", tagged, "--key-file", keyfile, "--key", "echo75", *band,
+                       "--full-profile") == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["band"] == expected
+        assert len(report["z"]) == expected[1] - expected[0] + 1
+        assert report["z"][75 - expected[0]] == report["z_at_key"] > 5.0
+
+    @pytest.mark.parametrize("key, flags, message", [
+        ("echo75", ["--enhanced"], "--enhanced is for spread keys, and key 'echo75' is a single echo"),
+        ("pn0", ["--band", 30, 60], "--band is for single-echo keys, and key 'pn0' is a spread key"),
+        ("pn0", ["--band", 25, 125], "--band is for single-echo keys, and key 'pn0' is a spread key"),
+    ], ids=["enhanced-single-echo", "band-spread", "default-band-spread"])
+    def test_the_other_detectors_flag_refused_before_reading(self, keyfile, carrier_wav, capsys,
+                                                             monkeypatch, key, flags, message):
+        monkeypatch.setattr("echotag.cli.load_audio", _work_that_must_not_run)
+        assert run_cli("detect", "--in", carrier_wav, "--key-file", keyfile, "--key", key, *flags) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [f"echotag: error: {message}"]
 
     def test_embed_does_not_mutate_input(self, tmp_path, keyfile, carrier_wav):
         before = carrier_wav.read_bytes()
@@ -549,12 +591,11 @@ class TestEvaluate:
         for channel, expected in (
             ({"kind": "additive_noise", "seed": "x"}, "'seed' must be a non-negative integer, got 'x'"),
             ({"kind": "additive_noise", "seed": -5}, "'seed' must be a non-negative integer, got -5"),
-            ({"kind": "mixture", "interferers": 2.5}, "'interferers' must be an integer from 1 to 16"),
             ({"kind": "additive_noise", "factor": 0.9}, "kind 'additive_noise' does not read 'factor'"),
-            ({"kind": "composite", "stages": [{"kind": "mixture", "interferers": "2"}]},
-             "stage 0: 'interferers' must be an integer from 1 to 16, got '2'"),
+            ({"kind": "composite", "stages": [{"kind": "resample_factor", "factor": "2"}]},
+             "stage 0: 'factor' must be a number from 0.5 to 2, got '2'"),
             ({"kind": "attenuate_echo", "ratio": 3}, "'ratio' must be a number in (0, 1], got 3"),
-            ({"kind": ["mixture"]}, "'kind' must be one of identity, attenuate_echo"),
+            ({"kind": ["additive_noise"]}, "'kind' must be one of identity, attenuate_echo"),
         ):
             config = eval_config(tmp_path, keyfile, channel=channel)
             assert run_cli("evaluate", "--config", config) == 1
@@ -730,6 +771,37 @@ WORK_BEFORE_OUTPUT = {
 
 def _work_that_must_not_run(*args, **kwargs):
     raise AssertionError("the command did its work before checking its output")
+
+
+# argv after the global flags of each command that takes no --format, from (tmp_path, keyfile,
+# carrier_wav); the --format given, the one error line, and the work that must not start
+FORMAT_REFUSED = {
+    "gen-patterns": (lambda tmp, keyfile, wav: ["gen-patterns", "--count", 2, "--length", 64, "--out",
+                                                tmp / "ps.json"],
+                     "pcm16", "gen-patterns writes its pattern set as JSON and takes no --format",
+                     "echotag.cli.generate_pattern_set"),
+    "payload-decode": (lambda tmp, keyfile, wav: ["payload", "decode", "--in", wav, "--n-bits", 4],
+                       "csv", "payload decode prints its bits as JSON and takes no --format",
+                       "echotag.cli.load_audio"),
+    "evaluate": (lambda tmp, keyfile, wav: ["evaluate", "--config", eval_config(tmp, keyfile)],
+                 "json", "evaluate writes results.csv and summary.json and takes no --format",
+                 "echotag.cli.load_eval_config"),
+}
+
+
+@pytest.mark.parametrize("command", sorted(FORMAT_REFUSED))
+def test_a_command_without_formats_refuses_format(tmp_path, keyfile, carrier_wav, capsys, monkeypatch,
+                                                  command):
+    make_argv, out_format, message, work = FORMAT_REFUSED[command]
+    argv = make_argv(tmp_path, keyfile, carrier_wav)
+    monkeypatch.setattr(work, _work_that_must_not_run)
+    before = sorted(tmp_path.rglob("*"))
+    assert run_cli("--format", out_format, *argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [f"echotag: error: {message}"]
+    assert sorted(tmp_path.rglob("*")) == before
+    assert not (tmp_path / "ps.json").exists() and not (tmp_path / "results").exists()
 
 
 @pytest.mark.parametrize("case", sorted(UNWRITABLE_OUTPUTS))

@@ -175,7 +175,6 @@ CHANNEL = {"kind": "composite", "seed": 0, "stages": [
     {"kind": "additive_noise", "seed": 3, "snr_db": 20.0},
     {"kind": "resample_factor", "seed": 4, "factor": 1.1},
     {"kind": "random_resample", "seed": 5, "probability": 0.5, "low": 0.9, "high": 1.1},
-    {"kind": "mixture", "seed": 6, "interferers": 2, "snr_db": 10.0},
     {"kind": "composite", "seed": 7, "stages": []},
 ]}
 CONFIG = {
