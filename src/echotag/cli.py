@@ -5,11 +5,13 @@ Detection always exits 0 when the measurement succeeds; thresholding the
 reported z-scores is a downstream policy decision. No command modifies its
 input files, and every command is deterministic given its arguments.
 
-Commands raise; `main` alone turns a failure (an OSError or ValueError: a bad
-argument, an invalid input file, an output that cannot be written) into exit
-1 and one `echotag: error: <message>` line on stderr, and with -v also logs
-the traceback. tag-dataset records a file that fails and goes on with the
-rest, then exits 1 if any failed.
+A flag is declared on the command that reads it, so any other command refuses
+it; only --seed (read by gen-patterns) and -v come before the command. Commands
+and the parser raise; `main` alone turns a failure (an OSError or ValueError: a
+bad argument, an invalid input file, an output that cannot be written) into
+exit 1 and one `echotag: error: <message>` line on stderr, and with -v also
+logs the traceback. tag-dataset records a file that fails and goes on with
+the rest, then exits 1 if any failed.
 
 Manifest file (tag-dataset), JSON:
     {"version": 1,
@@ -74,19 +76,32 @@ class CommandError(ValueError):
     """A command that cannot go on with its arguments; `main` reports it."""
 
 
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser whose errors reach `main` as CommandErrors, not exit 2."""
+
+    def error(self, message):
+        raise CommandError(message)
+
+
+def _at_least(low: int):
+    """argparse type: an integer >= low."""
+    def integer(text):
+        value = int(text)  # argparse reports a ValueError as "invalid integer value"
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        return value
+    return integer
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="echotag",
-        description="Embed and detect echo watermarks in audio corpora.",
-    )
-    parser.add_argument("--seed", type=int, default=0, help="base seed for anything random")
-    parser.add_argument("--jobs", type=int, default=1, help="parallel workers for dataset commands")
-    parser.add_argument("--sample-rate", type=int, default=DEFAULT_SAMPLE_RATE,
-                        help="canonical sample rate (default 44100)")
-    parser.add_argument("--format", default=None,
-                        help="output format: pcm16/float32 for embed and payload encode, json/csv for detect")
+    parser = _Parser(prog="echotag", description="Embed and detect echo watermarks in audio corpora.")
+    parser.add_argument("--seed", type=_at_least(0), help="pattern seed for gen-patterns (default 0)")
     parser.add_argument("-v", "--verbose", action="store_true", help="log at DEBUG level")
     sub = parser.add_subparsers(dest="command", required=True)
+
+    canonical = argparse.ArgumentParser(add_help=False)
+    canonical.add_argument("--sample-rate", type=_at_least(1), default=DEFAULT_SAMPLE_RATE,
+                           help="canonical sample rate to resample to (default 44100)")
 
     p = sub.add_parser("gen-patterns", help="generate a time-spread pattern set file")
     p.add_argument("--count", type=int, required=True)
@@ -94,20 +109,22 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_gen_patterns)
 
-    p = sub.add_parser("embed", help="watermark one file")
+    p = sub.add_parser("embed", parents=[canonical], help="watermark one file")
     p.add_argument("--in", dest="in_path", required=True)
     p.add_argument("--out", dest="out_path", required=True)
     p.add_argument("--key-file", required=True)
     p.add_argument("--key", default=None, help="key name (optional when the file has exactly one)")
     p.add_argument("--no-resample", action="store_true",
                    help="keep the file's native rate instead of canonicalizing")
+    p.add_argument("--format", choices=AUDIO_FORMATS, default="float32")
     p.set_defaults(func=cmd_embed)
 
-    p = sub.add_parser("tag-dataset", help="embed a whole corpus per a manifest")
+    p = sub.add_parser("tag-dataset", parents=[canonical], help="embed a whole corpus per a manifest")
     p.add_argument("--manifest", required=True)
+    p.add_argument("--jobs", type=_at_least(1), default=1, help="files embedded at a time")
     p.set_defaults(func=cmd_tag_dataset)
 
-    p = sub.add_parser("detect", help="measure echo z-scores in one file")
+    p = sub.add_parser("detect", parents=[canonical], help="measure echo z-scores in one file")
     p.add_argument("--in", dest="in_path", required=True)
     p.add_argument("--key-file", required=True)
     p.add_argument("--key", default=None)
@@ -118,19 +135,24 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--no-resample", action="store_true")
     p.add_argument("--full-profile", action="store_true",
                    help="include the whole z profile in JSON output")
+    p.add_argument("--format", choices=("json", "csv"), default="json")
     p.set_defaults(func=cmd_detect)
 
+    codec = argparse.ArgumentParser(add_help=False)
+    codec.add_argument("--in", dest="in_path", required=True)
+    codec.add_argument("--n-bits", type=_at_least(0), required=True, help="payload bit count")
+    codec.add_argument("--delta0", type=int, default=PayloadConfig.delta0)
+    codec.add_argument("--delta1", type=int, default=PayloadConfig.delta1)
+    codec.add_argument("--alpha", type=float, default=PayloadConfig.alpha)
+    codec.add_argument("--window", type=int, default=PayloadConfig.window)
     p = sub.add_parser("payload", help="windowed payload codec")
-    p.add_argument("action", choices=["encode", "decode"])
-    p.add_argument("--in", dest="in_path", required=True)
-    p.add_argument("--out", dest="out_path", default=None, help="output file (encode)")
-    p.add_argument("--bits", default=None, help="payload hex string, MSB-first (encode)")
-    p.add_argument("--n-bits", type=int, default=None, help="payload bit count")
-    p.add_argument("--delta0", type=int, default=PayloadConfig.delta0)
-    p.add_argument("--delta1", type=int, default=PayloadConfig.delta1)
-    p.add_argument("--alpha", type=float, default=PayloadConfig.alpha)
-    p.add_argument("--window", type=int, default=PayloadConfig.window)
     p.set_defaults(func=cmd_payload)
+    actions = p.add_subparsers(dest="action", required=True)
+    p = actions.add_parser("encode", parents=[codec], help="hide bits in a file")
+    p.add_argument("--out", dest="out_path", required=True)
+    p.add_argument("--bits", required=True, help="payload hex string, MSB-first")
+    p.add_argument("--format", choices=AUDIO_FORMATS, default="float32")
+    actions.add_parser("decode", parents=[codec], help="read bits from a file")
 
     p = sub.add_parser("evaluate", help="run a config-driven evaluation")
     p.add_argument("--config", required=True)
@@ -149,19 +171,6 @@ def _pick_key(keys: dict, name):
     raise CommandError(f"key file holds {len(keys)} keys; pick one with --key (available: {sorted(keys)})")
 
 
-def _format(args, default: str, formats) -> str:
-    """--format for this command: one of `formats`, `default` when not given."""
-    out_format = args.format or default
-    if out_format not in formats:
-        raise CommandError(f"--format must be {' or '.join(formats)} for {args.command}, got {out_format!r}")
-    return out_format
-
-
-def _refuse_format(args, message: str) -> None:
-    if args.format is not None:
-        raise CommandError(message)
-
-
 def _require_out_dir(path) -> None:
     out_dir = os.path.dirname(path) or "."
     if not os.path.isdir(out_dir):  # checked before the command's work, the slow part
@@ -175,9 +184,8 @@ def _canonicalize(clip, target_rate, no_resample):
 
 
 def cmd_gen_patterns(args) -> int:
-    _refuse_format(args, "gen-patterns writes its pattern set as JSON and takes no --format")
     _require_out_dir(args.out)
-    ps = generate_pattern_set(args.count, args.length, args.seed)
+    ps = generate_pattern_set(args.count, args.length, args.seed or 0)
     save_pattern_set(ps, args.out)
     distances = sorted(ps.pairwise_distances().tolist())
     print(json.dumps({
@@ -199,10 +207,9 @@ def _embed_file(in_path, out_path, key, target_rate, no_resample, out_format):
 
 def cmd_embed(args) -> int:
     key_name, key = _pick_key(load_key_file(args.key_file), args.key)
-    out_format = _format(args, "float32", AUDIO_FORMATS)
     _require_out_dir(args.out_path)
     clipped = _embed_file(args.in_path, args.out_path, key,
-                          args.sample_rate, args.no_resample, out_format)
+                          args.sample_rate, args.no_resample, args.format)
     print(json.dumps({
         "in": args.in_path,
         "out": args.out_path,
@@ -249,8 +256,6 @@ def load_manifest(path):
 
 
 def cmd_tag_dataset(args) -> int:
-    _refuse_format(args, "tag-dataset takes its audio format from the manifest's 'format' field, "
-                         "not from --format")
     entries, keys, base_out, do_resample, out_format = load_manifest(args.manifest)
     os.makedirs(base_out, exist_ok=True)
 
@@ -290,7 +295,6 @@ def cmd_tag_dataset(args) -> int:
 
 
 def cmd_detect(args) -> int:
-    out_format = _format(args, "json", ("json", "csv"))
     key_name, key = _pick_key(load_key_file(args.key_file), args.key)
     if isinstance(key, SpreadKey) and args.band is not None:
         raise CommandError(f"--band is for single-echo keys, and key {key_name!r} is a spread key")
@@ -304,7 +308,7 @@ def cmd_detect(args) -> int:
     row = {"clip_id": os.path.basename(args.in_path), "key_id": key_name,
            "duration_seconds": clip.duration_seconds,
            **report.to_dict(include_profile=args.full_profile)}
-    if out_format == "json":
+    if args.format == "json":
         print(json.dumps(row, sort_keys=True))
     else:
         writer = csv.DictWriter(sys.stdout, fieldnames=DETECT_CSV_FIELDS, extrasaction="ignore")
@@ -318,55 +322,41 @@ def cmd_payload(args) -> int:
                            alpha=args.alpha, window=args.window)
     # every argument is checked before the input is read
     if args.action == "encode":
-        if args.bits is None or args.n_bits is None or args.out_path is None:
-            raise CommandError("payload encode needs --bits, --n-bits and --out")
         _require_out_dir(args.out_path)
-        out_format = _format(args, "float32", AUDIO_FORMATS)
         bits = hex_to_bits(args.bits, args.n_bits)
         clip = load_audio(args.in_path)
         tagged = encode_payload(clip, bits, config)
-        save_audio(tagged, args.out_path, format=out_format)
+        save_audio(tagged, args.out_path, format=args.format)
         print(json.dumps({
             "out": args.out_path,
             "n_bits": args.n_bits,
             "bits_per_second": bits_per_second(clip.sample_rate, config),
         }, sort_keys=True))
     else:
-        _refuse_format(args, "payload decode prints its bits as JSON and takes no --format")
-        if args.n_bits is None:
-            raise CommandError("payload decode needs --n-bits")
-        if args.n_bits < 0:
-            raise CommandError(f"--n-bits must be >= 0, got {args.n_bits}")
         bits = decode_payload(load_audio(args.in_path), config, args.n_bits)
         print(json.dumps({"n_bits": args.n_bits, "bits": bits_to_hex(bits)}, sort_keys=True))
     return 0
 
 
 def cmd_evaluate(args) -> int:
-    _refuse_format(args, "evaluate writes results.csv and summary.json and takes no --format")
     summary = run_evaluation(load_eval_config(args.config))
     print(json.dumps(summary, sort_keys=True))
     return 0
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    logging.basicConfig(
-        level=logging.DEBUG if args.verbose else logging.INFO,
-        format="%(levelname)s %(name)s: %(message)s",
-        stream=sys.stderr,
-    )
     try:
-        if args.seed < 0:
-            raise CommandError(f"--seed must be a non-negative integer, got {args.seed}")
-        if args.jobs < 1:
-            raise CommandError(f"--jobs must be at least 1, got {args.jobs}")
-        if args.sample_rate < 1:
-            raise CommandError(f"--sample-rate must be a positive integer, got {args.sample_rate}")
+        args = build_parser().parse_args(argv)
+        logging.basicConfig(
+            level=logging.DEBUG if args.verbose else logging.INFO,
+            format="%(levelname)s %(name)s: %(message)s",
+            stream=sys.stderr,
+        )
+        if args.seed is not None and args.command != "gen-patterns":
+            raise CommandError(f"--seed is read by gen-patterns only, not by {args.command}")
         return args.func(args)
     except (OSError, ValueError) as exc:  # CommandError and ConfigError are ValueErrors
-        log.debug("%s failed", args.command, exc_info=True)
+        log.debug("echotag failed", exc_info=True)
         print(f"echotag: error: {exc}", file=sys.stderr)
         return 1
 

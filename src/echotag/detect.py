@@ -107,6 +107,7 @@ def zscore_profile(values, band, halfwidth: int = 0, source: str = "cepstrum") -
     if not 0 <= a < b < values.size:
         raise ValueError(f"band [{a}, {b}] invalid for sequence of length {values.size}")
     v = values[a : b + 1]
+    v = v - v.mean()  # z is shift-invariant; centred, the cumulative sums keep their precision
     m = v.size
     idx = np.arange(m)
     lo = np.maximum(idx - halfwidth, 0)

@@ -51,10 +51,9 @@ CHANNEL_FIELDS = {
     "attenuate_echo": {"ratio": Kind("a number in (0, 1]", lambda v: NUMBER.ok(v) and 0 < v <= 1)},
     # white noise at snr_db below the clip RMS
     "additive_noise": {"snr_db": SNR_DB},
-    # pitch factor f: resample to rate/f and reinterpret at the original rate,
-    # so durations and echo lags scale by 1/f
-    "resample_factor": {"factor": PITCH_FACTOR},
-    # with that probability, a pitch factor drawn uniformly from [low, high]
+    # with that probability, a pitch factor f drawn uniformly from [low, high]:
+    # resample to rate/f and reinterpret at the original rate, so durations and
+    # echo lags scale by 1/f (probability 1 and low = high = f: a fixed shift)
     "random_resample": {
         "probability": Kind("a number from 0 to 1", lambda v: NUMBER.ok(v) and 0 <= v <= 1),
         "low": PITCH_FACTOR,
@@ -75,7 +74,6 @@ class ChannelSpec:
     kind: str = "identity"
     ratio: float = 1.0
     snr_db: float = 20.0
-    factor: float = 1.0
     probability: float = 0.5
     low: float = 0.75
     high: float = 1.25
@@ -166,8 +164,6 @@ def apply_channel(clips, spec: ChannelSpec, salt: int = 0) -> list:
         if stage.kind == "additive_noise":
             noise = rng.standard_normal(len(out[0]))
             out = [_plus_noise(clip, noise, stage.snr_db) for clip in out]
-        elif stage.kind == "resample_factor":
-            out = [_pitch_shift(clip, stage.factor) for clip in out]
         elif stage.kind == "random_resample" and rng.random() < stage.probability:
             factor = rng.uniform(stage.low, stage.high)
             out = [_pitch_shift(clip, factor) for clip in out]
@@ -188,9 +184,7 @@ def channel_length_bound(spec: ChannelSpec, n: int, rate: int) -> int:
     n-sample clips at `rate`: only pitch shifts change the length, and a larger
     factor leaves fewer samples. Each stage's bound grows with n, so they fold."""
     for stage, _ in _stages(spec):
-        if stage.kind == "resample_factor":
-            n = resampled_length(n, rate, _pitched_rate(rate, stage.factor))
-        elif stage.kind == "random_resample" and stage.probability > 0:
+        if stage.kind == "random_resample" and stage.probability > 0:
             shifted = resampled_length(n, rate, _pitched_rate(rate, stage.high))
             n = shifted if stage.probability == 1 else min(n, shifted)
     return n

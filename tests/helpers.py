@@ -171,8 +171,6 @@ def apply_channel_recursive(clips, spec, salt=0) -> list:
     rng = np.random.default_rng([spec.seed, salt, 11])
     if kind == "additive_noise":
         return [AudioClip(additive_noise_fresh(clip, spec, salt), clip.sample_rate) for clip in clips]
-    if kind == "resample_factor":
-        return [_pitch_shift_recursive(clip, spec.factor) for clip in clips]
     if kind == "random_resample":
         if rng.random() < spec.probability:
             factor = rng.uniform(spec.low, spec.high)
@@ -187,8 +185,6 @@ def channel_length_bound_recursive(spec, n: int, rate: int) -> int:
         for stage in spec.stages:
             n = channel_length_bound_recursive(stage, n, rate)
         return n
-    if spec.kind == "resample_factor":
-        return resampled_length(n, rate, int(round(rate / spec.factor)))
     if spec.kind == "random_resample" and spec.probability > 0:
         shifted = resampled_length(n, rate, int(round(rate / spec.high)))
         return shifted if spec.probability == 1 else min(n, shifted)

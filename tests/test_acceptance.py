@@ -184,7 +184,7 @@ def test_criterion_07_pitch_shift_lag_scaling():
     # exact lag scaling
     observed = {}
     for factor in (0.8, 1.0, 1.25):
-        spec = ChannelSpec(kind="resample_factor", factor=factor)
+        spec = ChannelSpec(kind="random_resample", probability=1, low=factor, high=factor)
         for seed in range(3):
             clip = noise_clip((930, seed), seconds=4.0, scale=1.0)
             tagged = embed_single_echo(clip, EchoKey(100, 0.4))

@@ -1,7 +1,10 @@
 import json
 import os
+import re
+import shlex
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,7 +12,7 @@ import pytest
 import echotag
 from echotag import (AudioClip, EchoKey, SpreadKey, detect_spread, generate_pattern, load_audio,
                      load_key_file, save_audio, save_key_file)
-from echotag.cli import main
+from echotag.cli import build_parser, main
 from echotag.evalrun import load_eval_config
 from echotag.keyfiles import ConfigError, bits_to_hex, load_pattern_set
 from helpers import SR, noise_clip
@@ -71,7 +74,7 @@ class TestGenPatterns:
     def test_negative_seed_rejected(self, tmp_path, capsys):
         out = tmp_path / "ps.json"
         assert run_cli("--seed", -1, "gen-patterns", "--count", 4, "--out", out) == 1
-        assert "--seed must be a non-negative integer, got -1" in capsys.readouterr().err
+        assert "argument --seed: must be at least 0, got -1" in capsys.readouterr().err
         assert not out.exists()
 
     def test_count_one_rejected(self, tmp_path, capsys):
@@ -126,7 +129,7 @@ class TestEmbedDetect:
         run_cli("embed", "--in", carrier_wav, "--out", tagged, "--key-file", keyfile,
                 "--key", "echo50")
         capsys.readouterr()
-        assert run_cli("--format", "csv", "detect", "--in", tagged,
+        assert run_cli("detect", "--format", "csv", "--in", tagged,
                        "--key-file", keyfile, "--key", "echo50") == 0
         lines = capsys.readouterr().out.strip().splitlines()
         assert lines[0].split(",")[:2] == ["clip_id", "key_id"]
@@ -135,11 +138,11 @@ class TestEmbedDetect:
     def test_report_format_checked_before_detecting(self, keyfile, carrier_wav, capsys,
                                                     monkeypatch):
         monkeypatch.setattr("echotag.cli.detect_single_echo", _work_that_must_not_run)
-        assert run_cli("--format", "xml", "detect", "--in", carrier_wav,
+        assert run_cli("detect", "--format", "xml", "--in", carrier_wav,
                        "--key-file", keyfile, "--key", "echo75") == 1
         err = capsys.readouterr().err
         assert err.strip().splitlines() == [
-            "echotag: error: --format must be json or csv for detect, got 'xml'"]
+            "echotag: error: argument --format: invalid choice: 'xml' (choose from 'json', 'csv')"]
 
     def test_spread_round_trip(self, tmp_path, keyfile, capsys):
         carrier = tmp_path / "long.wav"
@@ -279,7 +282,7 @@ class TestEmbedDetect:
 
     def test_sample_rate_sets_the_canonical_rate(self, tmp_path, keyfile, carrier_wav):
         tagged = tmp_path / "tagged.wav"
-        assert run_cli("--sample-rate", 48000, "embed", "--in", carrier_wav, "--out", tagged,
+        assert run_cli("embed", "--sample-rate", 48000, "--in", carrier_wav, "--out", tagged,
                        "--key-file", keyfile, "--key", "echo75") == 0
         assert load_audio(tagged).sample_rate == 48000
 
@@ -327,7 +330,7 @@ class TestTagDataset:
         manifest2 = self._write_manifest(tmp_path, keyfile,
                                          [{"input": "*.wav", "key": "echo75",
                                            "output_dir": "parallel"}])
-        run_cli("--jobs", 4, "tag-dataset", "--manifest", manifest2)
+        run_cli("tag-dataset", "--jobs", 4, "--manifest", manifest2)
         capsys.readouterr()
         for name in ("a.wav", "b.wav", "c.wav", "d.wav"):
             serial = (tmp_path / "out" / "serial" / name).read_bytes()
@@ -338,8 +341,8 @@ class TestTagDataset:
         self._make_corpus(tmp_path, ["a.wav"])
         manifest = self._write_manifest(tmp_path, keyfile, [{"input": "a.wav", "key": "echo50"}])
         for jobs in (0, -2):
-            assert run_cli("--jobs", jobs, "tag-dataset", "--manifest", manifest) == 1
-            assert f"--jobs must be at least 1, got {jobs}" in capsys.readouterr().err
+            assert run_cli("tag-dataset", "--jobs", jobs, "--manifest", manifest) == 1
+            assert f"argument --jobs: must be at least 1, got {jobs}" in capsys.readouterr().err
             assert not (tmp_path / "out").exists()
 
     def test_resample_false_keeps_the_native_rate(self, tmp_path, keyfile, capsys):
@@ -386,12 +389,10 @@ class TestTagDataset:
     def test_format_flag_refused_before_any_write(self, tmp_path, keyfile, capsys):
         self._make_corpus(tmp_path, ["a.wav"])
         manifest = self._write_manifest(tmp_path, keyfile, [{"input": "a.wav", "key": "echo50"}])
-        assert run_cli("--format", "pcm16", "tag-dataset", "--manifest", manifest) == 1
+        assert run_cli("tag-dataset", "--format", "pcm16", "--manifest", manifest) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err.splitlines() == [
-            "echotag: error: tag-dataset takes its audio format from the manifest's 'format' field, "
-            "not from --format"]
+        assert captured.err.splitlines() == ["echotag: error: unrecognized arguments: --format pcm16"]
         assert not (tmp_path / "out").exists()
 
     def test_empty_manifest_succeeds(self, tmp_path, keyfile, capsys):
@@ -439,13 +440,13 @@ class TestPayloadCli:
         carrier = tmp_path / "c.wav"
         save_audio(noise_clip(302, seconds=1.0, scale=1.0), carrier, format="float32")
         out = tmp_path / "o.wav"
-        assert run_cli("--format", "csv", "payload", "encode", "--in", carrier, "--out", out,
+        assert run_cli("payload", "encode", "--format", "csv", "--in", carrier, "--out", out,
                        "--bits", "ff", "--n-bits", 8) == 1
-        assert "--format must be pcm16 or float32" in capsys.readouterr().err
+        assert "argument --format: invalid choice: 'csv'" in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize("bits, n_bits, message", [
-        ("a5", -3, "cannot take -3 of the 8 bits the hex string holds"),
+        ("a5", -3, "argument --n-bits: must be at least 0, got -3"),
         ("a5z", 8, "'a5z' is not a hex string"),
     ])
     def test_bad_payload_bits_fail_with_one_line(self, tmp_path, carrier_wav, capsys,
@@ -463,20 +464,20 @@ class TestPayloadCli:
 PAYLOAD_ARGUMENT_ERRORS = {
     "encode-without-bits": lambda tmp, wav: (
         ["payload", "encode", "--in", wav, "--out", tmp / "o.wav", "--n-bits", 8],
-        "payload encode needs --bits, --n-bits and --out"),
+        "the following arguments are required: --bits"),
     "encode-without-n-bits": lambda tmp, wav: (
         ["payload", "encode", "--in", wav, "--out", tmp / "o.wav", "--bits", "ff"],
-        "payload encode needs --bits, --n-bits and --out"),
+        "the following arguments are required: --n-bits"),
     "encode-without-out": lambda tmp, wav: (
         ["payload", "encode", "--in", wav, "--bits", "ff", "--n-bits", 8],
-        "payload encode needs --bits, --n-bits and --out"),
+        "the following arguments are required: --out"),
     "encode-into-missing-dir": lambda tmp, wav: (
         ["payload", "encode", "--in", wav, "--out", tmp / "missing" / "o.wav", "--bits", "ff", "--n-bits", 8],
         f"--out directory {str(tmp / 'missing')!r} does not exist"),
     "encode-csv-format": lambda tmp, wav: (
-        ["--format", "csv", "payload", "encode", "--in", wav, "--out", tmp / "o.wav",
+        ["payload", "encode", "--format", "csv", "--in", wav, "--out", tmp / "o.wav",
          "--bits", "ff", "--n-bits", 8],
-        "--format must be pcm16 or float32 for payload, got 'csv'"),
+        "argument --format: invalid choice: 'csv' (choose from 'pcm16', 'float32')"),
     "encode-bad-hex": lambda tmp, wav: (
         ["payload", "encode", "--in", wav, "--out", tmp / "o.wav", "--bits", "a5z", "--n-bits", 8],
         "'a5z' is not a hex string"),
@@ -484,9 +485,9 @@ PAYLOAD_ARGUMENT_ERRORS = {
         ["payload", "encode", "--in", wav, "--out", tmp / "o.wav", "--bits", "a5", "--n-bits", 9],
         "cannot take 9 of the 8 bits the hex string holds"),
     "decode-without-n-bits": lambda tmp, wav: (
-        ["payload", "decode", "--in", wav], "payload decode needs --n-bits"),
+        ["payload", "decode", "--in", wav], "the following arguments are required: --n-bits"),
     "decode-negative-n-bits": lambda tmp, wav: (
-        ["payload", "decode", "--in", wav, "--n-bits", -1], "--n-bits must be >= 0, got -1"),
+        ["payload", "decode", "--in", wav, "--n-bits", -1], "argument --n-bits: must be at least 0, got -1"),
 }
 
 
@@ -509,9 +510,9 @@ def test_payload_checks_its_arguments_before_reading_the_input(tmp_path, carrier
 @pytest.mark.parametrize("action", ["encode", "decode"])
 def test_payload_reads_its_input_once_its_arguments_pass(tmp_path, carrier_wav, monkeypatch, action):
     monkeypatch.setattr("echotag.cli.load_audio", _read_that_must_not_run)
+    encode_only = ["--out", tmp_path / "o.wav", "--bits", "ff"] if action == "encode" else []
     with pytest.raises(AssertionError, match="before checking its arguments"):
-        run_cli("payload", action, "--in", carrier_wav, "--out", tmp_path / "o.wav",
-                "--bits", "ff", "--n-bits", 8)
+        run_cli("payload", action, "--in", carrier_wav, *encode_only, "--n-bits", 8)
 
 
 def eval_config(tmp_path, keyfile, **overrides):
@@ -592,10 +593,14 @@ class TestEvaluate:
             ({"kind": "additive_noise", "seed": "x"}, "'seed' must be a non-negative integer, got 'x'"),
             ({"kind": "additive_noise", "seed": -5}, "'seed' must be a non-negative integer, got -5"),
             ({"kind": "additive_noise", "factor": 0.9}, "kind 'additive_noise' does not read 'factor'"),
-            ({"kind": "composite", "stages": [{"kind": "resample_factor", "factor": "2"}]},
-             "stage 0: 'factor' must be a number from 0.5 to 2, got '2'"),
+            ({"kind": "composite", "stages": [{"kind": "random_resample", "high": "2"}]},
+             "stage 0: 'high' must be a number from 0.5 to 2, got '2'"),
             ({"kind": "attenuate_echo", "ratio": 3}, "'ratio' must be a number in (0, 1], got 3"),
             ({"kind": ["additive_noise"]}, "'kind' must be one of identity, attenuate_echo"),
+            # random_resample with probability 1 and low = high = factor is the same shift
+            ({"kind": "resample_factor", "factor": 2}, "'kind' must be one of identity, attenuate_echo, "
+                                                       "additive_noise, random_resample, composite, "
+                                                       "got 'resample_factor'"),
         ):
             config = eval_config(tmp_path, keyfile, channel=channel)
             assert run_cli("evaluate", "--config", config) == 1
@@ -704,7 +709,7 @@ class TestEvaluate:
          "durations: a 0.004s segment holds 176 samples at 44100 Hz; key 'echo75' needs at least 251"),
         ({"key": "pn0", "flips": [0, 8], "bitflip_duration": 0.01},
          "bitflip_duration: a 0.01s segment holds 441 samples at 44100 Hz; key 'pn0' needs at least 1101"),
-        ({"durations": [0.006], "channel": {"kind": "resample_factor", "factor": 2}},
+        ({"durations": [0.006], "channel": {"kind": "random_resample", "probability": 1, "low": 2, "high": 2}},
          "durations: a 0.006s segment holds 265 samples at 44100 Hz, 132 after the channel; "
          "key 'echo75' needs at least 251"),
         ({"durations": [0.006],
@@ -712,7 +717,8 @@ class TestEvaluate:
          "durations: a 0.006s segment holds 265 samples at 44100 Hz, 132 after the channel; "
          "key 'echo75' needs at least 251"),
         # a channel that lengthens the segment cannot let a too-short cut pass
-        ({"durations": [1, 0.004], "channel": {"kind": "resample_factor", "factor": 0.5}},
+        ({"durations": [1, 0.004],
+          "channel": {"kind": "random_resample", "probability": 1, "low": 0.5, "high": 0.5}},
          "durations: a 0.004s segment holds 176 samples at 44100 Hz; key 'echo75' needs at least 251"),
         ({"key": "echo150"}, "key 'echo150': echo lag 150 outside the scan band [25, 125]"),
         ({"key": "pn_short"}, "key 'pn_short': spread band [3, L + delta] = [3, 3] must reach lag 11"),
@@ -773,35 +779,91 @@ def _work_that_must_not_run(*args, **kwargs):
     raise AssertionError("the command did its work before checking its output")
 
 
-# argv after the global flags of each command that takes no --format, from (tmp_path, keyfile,
-# carrier_wav); the --format given, the one error line, and the work that must not start
-FORMAT_REFUSED = {
-    "gen-patterns": (lambda tmp, keyfile, wav: ["gen-patterns", "--count", 2, "--length", 64, "--out",
-                                                tmp / "ps.json"],
-                     "pcm16", "gen-patterns writes its pattern set as JSON and takes no --format",
-                     "echotag.cli.generate_pattern_set"),
-    "payload-decode": (lambda tmp, keyfile, wav: ["payload", "decode", "--in", wav, "--n-bits", 4],
-                       "csv", "payload decode prints its bits as JSON and takes no --format",
-                       "echotag.cli.load_audio"),
-    "evaluate": (lambda tmp, keyfile, wav: ["evaluate", "--config", eval_config(tmp, keyfile)],
-                 "json", "evaluate writes results.csv and summary.json and takes no --format",
-                 "echotag.cli.load_eval_config"),
+def test_every_readme_command_line_parses():
+    """README's examples keep the spellings the parser takes: each flag after the command that reads it."""
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    blocks = re.findall(r"^```sh\n(.*?)^```", readme.read_text(encoding="utf-8"), re.M | re.S)
+    lines = [line for block in blocks for line in block.splitlines() if line.startswith("echotag ")]
+    assert len(lines) >= 8
+    for line in lines:
+        args = build_parser().parse_args(shlex.split(line)[1:])  # a CommandError names the bad flag
+        assert args.seed is None or args.command == "gen-patterns", line
+
+
+def _write_json(path, document):
+    path.write_text(json.dumps(document))
+    return path
+
+
+# argv of each command with every flag it requires, from (tmp_path, keyfile, carrier_wav)
+COMMAND_ARGV = {
+    "gen-patterns": lambda tmp, keyfile, wav: ["gen-patterns", "--count", 2, "--length", 64,
+                                               "--out", tmp / "ps.json"],
+    "embed": lambda tmp, keyfile, wav: ["embed", "--in", wav, "--out", tmp / "o.wav",
+                                        "--key-file", keyfile, "--key", "echo75"],
+    "tag-dataset": lambda tmp, keyfile, wav: ["tag-dataset", "--manifest", _write_json(
+        tmp / "manifest.json", {"version": 1, "key_file": str(keyfile), "base_output_dir": str(tmp / "out"),
+                                "entries": [{"input": str(wav), "key": "echo75"}]})],
+    "detect": lambda tmp, keyfile, wav: ["detect", "--in", wav, "--key-file", keyfile, "--key", "echo75"],
+    "payload encode": lambda tmp, keyfile, wav: ["payload", "encode", "--in", wav, "--out", tmp / "p.wav",
+                                                 "--bits", "ff", "--n-bits", 8],
+    "payload decode": lambda tmp, keyfile, wav: ["payload", "decode", "--in", wav, "--n-bits", 8],
+    "evaluate": lambda tmp, keyfile, wav: ["evaluate", "--config", eval_config(tmp, keyfile)],
+}
+# the first step of each command's work, each patched to fail
+COMMAND_WORK = ("echotag.cli.generate_pattern_set", "echotag.cli.load_key_file", "echotag.cli.load_manifest",
+                "echotag.cli.load_audio", "echotag.cli.load_eval_config")
+
+
+def _without(argv, flag):
+    at = argv.index(flag)
+    return argv[:at] + argv[at + 2:]
+
+
+# case -> (command, flags given before it, flags given after its argv, the start of the one error line):
+# each flag on a command that does not read it, and each command without one flag it requires
+REFUSED_ARGUMENTS = {
+    **{f"seed-{command}": (command, ["--seed", 7], [],
+                           f"--seed is read by gen-patterns only, not by {command.split()[0]}")
+       for command in COMMAND_ARGV if command != "gen-patterns"},
+    **{f"{flag[2:]}-{command}": (command, [], [flag, value], f"unrecognized arguments: {flag} {value}")
+       for flag, value, commands in (
+           ("--jobs", 2, [c for c in COMMAND_ARGV if c != "tag-dataset"]),
+           ("--sample-rate", 48000, ["gen-patterns", "payload encode", "payload decode", "evaluate"]),
+           ("--out", "x.wav", ["payload decode"]),
+           ("--bits", "ff", ["payload decode"]),
+           ("--format", "pcm16", ["gen-patterns", "tag-dataset"]),
+           ("--format", "csv", ["payload decode"]),
+           ("--format", "json", ["evaluate"]))
+       for command in commands},
+    # the spellings from before each flag moved onto its command
+    "moved-format-detect": ("detect", ["--format", "csv"], [], "argument command: invalid choice: 'csv'"),
+    "moved-jobs-tag-dataset": ("tag-dataset", ["--jobs", 4], [], "argument command: invalid choice: '4'"),
+    "moved-sample-rate-embed": ("embed", ["--sample-rate", 48000], [],
+                                "argument command: invalid choice: '48000'"),
+    **{f"without-{flag[2:]}-{command}": (command, [], [], f"the following arguments are required: {flag}")
+       for command, flag in (("gen-patterns", "--count"), ("embed", "--key-file"), ("tag-dataset", "--manifest"),
+                             ("detect", "--key-file"), ("payload encode", "--bits"),
+                             ("payload decode", "--n-bits"), ("evaluate", "--config"))},
 }
 
 
-@pytest.mark.parametrize("command", sorted(FORMAT_REFUSED))
-def test_a_command_without_formats_refuses_format(tmp_path, keyfile, carrier_wav, capsys, monkeypatch,
-                                                  command):
-    make_argv, out_format, message, work = FORMAT_REFUSED[command]
-    argv = make_argv(tmp_path, keyfile, carrier_wav)
-    monkeypatch.setattr(work, _work_that_must_not_run)
+@pytest.mark.parametrize("case", sorted(REFUSED_ARGUMENTS))
+def test_an_argument_error_is_one_line_before_any_work(tmp_path, keyfile, carrier_wav, capsys, monkeypatch,
+                                                       case):
+    command, before_command, after_command, message = REFUSED_ARGUMENTS[case]
+    argv = COMMAND_ARGV[command](tmp_path, keyfile, carrier_wav)
+    if case.startswith("without-"):
+        argv = _without(argv, message.split()[-1])  # the flag the message names
+    for work in COMMAND_WORK:
+        monkeypatch.setattr(work, _work_that_must_not_run)
     before = sorted(tmp_path.rglob("*"))
-    assert run_cli("--format", out_format, *argv) == 1
+    assert run_cli(*before_command, *argv, *after_command) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err.splitlines() == [f"echotag: error: {message}"]
+    [line] = captured.err.splitlines()
+    assert line.startswith(f"echotag: error: {message}")
     assert sorted(tmp_path.rglob("*")) == before
-    assert not (tmp_path / "ps.json").exists() and not (tmp_path / "results").exists()
 
 
 @pytest.mark.parametrize("case", sorted(UNWRITABLE_OUTPUTS))
@@ -835,7 +897,7 @@ STARTUP_SCRIPT = """
 import contextlib, io, json, sys
 def scipy_modules():
     return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
-from echotag.cli import main
+from echotag.cli import build_parser, main
 loaded = {"import": scipy_modules()}
 for step, argv in json.loads(sys.argv[1]):
     with contextlib.redirect_stdout(io.StringIO()):
@@ -874,20 +936,8 @@ def test_commands_import_only_what_they_run(tmp_path, keyfile, carrier_wav):
     assert "scipy.io.wavfile" in loaded["detect"]
 
 
-def _write_json(path, document):
-    path.write_text(json.dumps(document))
-    return path
-
-
-# argv after the global flags, from (tmp_path, keyfile, carrier_wav), of each command that reads --sample-rate
-SAMPLE_RATE_COMMANDS = {
-    "detect": lambda tmp, keyfile, wav: ["detect", "--in", wav, "--key-file", keyfile, "--key", "echo75"],
-    "embed": lambda tmp, keyfile, wav: ["embed", "--in", wav, "--out", tmp / "o.wav",
-                                        "--key-file", keyfile, "--key", "echo75"],
-    "tag-dataset": lambda tmp, keyfile, wav: ["tag-dataset", "--manifest", _write_json(
-        tmp / "manifest.json", {"version": 1, "key_file": str(keyfile), "base_output_dir": str(tmp / "out"),
-                                "entries": [{"input": str(wav), "key": "echo75"}]})],
-}
+# the commands that read --sample-rate
+SAMPLE_RATE_COMMANDS = {command: COMMAND_ARGV[command] for command in ("detect", "embed", "tag-dataset")}
 
 
 @pytest.mark.parametrize("rate", [0, -44100])
@@ -895,7 +945,7 @@ SAMPLE_RATE_COMMANDS = {
 def test_sample_rate_must_be_positive(tmp_path, keyfile, carrier_wav, capsys, command, rate):
     argv = SAMPLE_RATE_COMMANDS[command](tmp_path, keyfile, carrier_wav)
     before = sorted(tmp_path.rglob("*"))
-    assert run_cli("--sample-rate", rate, *argv) == 1
+    assert run_cli(*argv, "--sample-rate", rate) == 1
     assert capsys.readouterr().err.splitlines() == [
-        f"echotag: error: --sample-rate must be a positive integer, got {rate}"]
+        f"echotag: error: argument --sample-rate: must be at least 1, got {rate}"]
     assert sorted(tmp_path.rglob("*")) == before

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 import scipy.signal
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from echotag import (
@@ -81,20 +81,24 @@ class TestExclusionZscore:
         with pytest.raises(ValueError):
             exclusion_zscore(np.zeros(3), 1, 0, 2, halfwidth=2)  # nothing left
 
+    # offset: a band mean up to 1e8 times its spread, which the cumulative sums
+    # must not cancel away
     @settings(max_examples=40, deadline=None)
     @given(
         seed=st.integers(0, 2**31),
         halfwidth=st.integers(0, 5),
         i_offset=st.integers(0, 100),
+        offset=st.sampled_from([0.0, 1e4, -1e6, 1e8]),
     )
-    def test_profile_agrees_with_scalar(self, seed, halfwidth, i_offset):
+    @example(seed=0, halfwidth=3, i_offset=50, offset=1e8)
+    def test_profile_agrees_with_scalar(self, seed, halfwidth, i_offset, offset):
         rng = np.random.default_rng(seed)
-        values = rng.standard_normal(200)
+        values = offset + rng.standard_normal(200)
         a, b = 25, 125
         i = a + i_offset
         profile = zscore_profile(values, (a, b), halfwidth=halfwidth)
         scalar, _ = exclusion_zscore(values, i, a, b, halfwidth=halfwidth)
-        assert profile.z_at(i) == pytest.approx(scalar, rel=1e-8, abs=1e-10)
+        assert profile.z_at(i) == pytest.approx(scalar, rel=1e-8, abs=1e-10 if offset == 0 else 1e-6)
 
 
 class TestZscoreProfile:
@@ -173,8 +177,8 @@ class TestDetectSingleEcho:
         for index, factor in enumerate(np.linspace(0.95, 1.05, 21)):
             clip = noise_clip((33, index), seconds=5.0, scale=1.0)
             tagged = embed_single_echo(clip, EchoKey(75, 0.4))
-            [shifted] = apply_channel([tagged], ChannelSpec(kind="resample_factor",
-                                                            factor=float(factor)), salt=index)
+            shift = ChannelSpec(kind="random_resample", probability=1, low=float(factor), high=float(factor))
+            [shifted] = apply_channel([tagged], shift, salt=index)
             plain = zscore_profile(real_cepstrum(shifted), (25, 125))
             report = detect_single_echo(shifted)
             assert np.max(plain.z) >= RAHMONIC_CANCEL_Z  # cancellation ran

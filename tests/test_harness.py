@@ -91,13 +91,13 @@ class TestChannelSpec:
     def test_mixture_is_not_a_kind(self):
         # additive_noise at the same snr_db is the same degradation
         with pytest.raises(ValueError, match="'kind' must be one of identity, attenuate_echo, "
-                                             "additive_noise, resample_factor, random_resample, "
+                                             "additive_noise, random_resample, "
                                              "composite, got 'mixture'"):
             ChannelSpec.from_dict({"kind": "mixture", "snr_db": 10.0})
 
     def test_factor_bounds(self):
         with pytest.raises(ValueError):
-            ChannelSpec(kind="resample_factor", factor=2.5)
+            ChannelSpec(kind="random_resample", probability=1, low=2.5, high=2.5)
 
     def test_every_problem_listed(self):
         with pytest.raises(ValueError) as info:
@@ -136,7 +136,6 @@ CHANNELS = st.recursive(
     st.builds(ChannelSpec, kind=st.sampled_from(["identity", "additive_noise"]), seed=SEEDS)
     | st.builds(ChannelSpec, kind=st.just("attenuate_echo"), ratio=st.floats(0, 1, exclude_min=True),
                 seed=SEEDS)
-    | st.builds(ChannelSpec, kind=st.just("resample_factor"), factor=PITCH_FACTORS, seed=SEEDS)
     | st.builds(lambda p, bounds, seed: ChannelSpec(kind="random_resample", probability=p, low=min(bounds),
                                                     high=max(bounds), seed=seed),
                 st.floats(0, 1), st.tuples(PITCH_FACTORS, PITCH_FACTORS), SEEDS),
@@ -214,7 +213,8 @@ class TestApplyChannel:
     def test_pitch_factor_scales_lag(self):
         clip = noise_clip(4, seconds=3.0, scale=1.0)
         tagged = embed_single_echo(clip, EchoKey(100, 0.4))
-        [shifted] = apply_channel([tagged], ChannelSpec(kind="resample_factor", factor=1.25))
+        [shifted] = apply_channel([tagged], ChannelSpec(kind="random_resample", probability=1,
+                                                        low=1.25, high=1.25))
         assert shifted.sample_rate == SR
         assert len(shifted) == pytest.approx(len(tagged) / 1.25, rel=1e-3)
         report = detect_single_echo(shifted, band=(25, 170))
@@ -237,7 +237,7 @@ class TestApplyChannel:
     @settings(max_examples=100, deadline=None)
     @given(factor=PITCH_FACTORS, n=st.integers(1, 3000), rate=st.sampled_from([8000, 44100, 48000]))
     def test_length_bound_exact_for_a_fixed_factor(self, factor, n, rate):
-        spec = ChannelSpec(kind="resample_factor", factor=factor)
+        spec = ChannelSpec(kind="random_resample", probability=1, low=factor, high=factor)
         clip = AudioClip(np.zeros(n), rate)
         assert channel_length_bound(spec, n, rate) == len(apply_channel([clip], spec)[0])
 

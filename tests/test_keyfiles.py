@@ -173,7 +173,6 @@ CHANNEL = {"kind": "composite", "seed": 0, "stages": [
     {"kind": "identity", "seed": 1},
     {"kind": "attenuate_echo", "seed": 2, "ratio": 0.5},
     {"kind": "additive_noise", "seed": 3, "snr_db": 20.0},
-    {"kind": "resample_factor", "seed": 4, "factor": 1.1},
     {"kind": "random_resample", "seed": 5, "probability": 0.5, "low": 0.9, "high": 1.1},
     {"kind": "composite", "seed": 7, "stages": []},
 ]}
