@@ -169,24 +169,22 @@ def resampled_length(n: int, rate: int, target_rate: int) -> int:
 def resample(clip: AudioClip, target_rate: int) -> AudioClip:
     """Band-limited polyphase resampling to target_rate.
 
-    Output length is resampled_length(len(clip), sample_rate, target_rate). Equal
-    rates short-circuit to a copy; rates whose ratio the polyphase cap
-    rounds to 1/1 give a copy trimmed or zero-padded to that length.
+    Output length is resampled_length(len(clip), sample_rate, target_rate).
+    Rates whose ratio the polyphase cap rounds to 1/1, equal rates among them,
+    give a copy trimmed or zero-padded to that length.
     """
-    import scipy.signal
-
     target_rate = int(target_rate)
     if target_rate <= 0:
         raise ValueError(f"target rate must be positive, got {target_rate}")
-    if target_rate == clip.sample_rate:
-        return clip.copy()
     frac = Fraction(target_rate, clip.sample_rate)
     if max(frac.numerator, frac.denominator) > _MAX_POLYPHASE_FACTOR:
         frac = Fraction(target_rate, clip.sample_rate).limit_denominator(_MAX_POLYPHASE_FACTOR)
     up, down = frac.numerator, frac.denominator
-    if up == down:  # the rates are nearer than the cap can tell: 1/1 is the best ratio it has
+    if up == down:  # equal rates, or nearer than the cap can tell: 1/1 is the best ratio it has
         y = clip.samples.copy()
     else:
+        import scipy.signal
+
         y = scipy.signal.resample_poly(clip.samples, up, down, window=_design_resample_kernel(up, down))
     n_out = resampled_length(len(clip), clip.sample_rate, target_rate)
     if y.size < n_out:

@@ -6,12 +6,15 @@ reported z-scores is a downstream policy decision. No command modifies its
 input files, and every command is deterministic given its arguments.
 
 A flag is declared on the command that reads it, so any other command refuses
-it; only --seed (read by gen-patterns) and -v come before the command. Commands
-and the parser raise; `main` alone turns a failure (an OSError or ValueError: a
-bad argument, an invalid input file, an output that cannot be written) into
-exit 1 and one `echotag: error: <message>` line on stderr, and with -v also
-logs the traceback. tag-dataset records a file that fails and goes on with
-the rest, then exits 1 if any failed.
+it; only --seed (read by gen-patterns) and -v come before the command. The
+parser is built once per process and binds no handler: `main` looks up
+`cmd_<command>` (dashes as underscores) on the module at each call, so a handler
+rebound there, by a tracer or a test, is the one that runs. Commands and the
+parser raise; `main` alone turns a failure (an OSError or ValueError: a bad
+argument, an invalid input file, an output that cannot be written) into exit 1
+and one `echotag: error: <message>` line on stderr, and with -v (which holds
+for its own call only) also logs the traceback. tag-dataset records a file that
+fails and goes on with the rest, then exits 1 if any failed.
 
 Manifest file (tag-dataset), JSON:
     {"version": 1,
@@ -34,6 +37,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import glob
 import json
 import logging
@@ -42,7 +46,7 @@ import sys
 from concurrent.futures import ThreadPoolExecutor
 
 from .audio import DEFAULT_SAMPLE_RATE, load_audio, resample, save_audio
-from .detect import DEFAULT_SINGLE_ECHO_BAND, detect_single_echo, detect_spread
+from .detect import DEFAULT_SINGLE_ECHO_BAND, detect_single_echo, detect_spread, scoring_length
 from .embed import SpreadKey, embed
 from .evalrun import load_eval_config, run_evaluation
 from .keyfiles import (
@@ -93,6 +97,7 @@ def _at_least(low: int):
     return integer
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="echotag", description="Embed and detect echo watermarks in audio corpora.")
     parser.add_argument("--seed", type=_at_least(0), help="pattern seed for gen-patterns (default 0)")
@@ -107,7 +112,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--count", type=int, required=True)
     p.add_argument("--length", type=int, default=1024)
     p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_gen_patterns)
 
     p = sub.add_parser("embed", parents=[canonical], help="watermark one file")
     p.add_argument("--in", dest="in_path", required=True)
@@ -117,12 +121,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--no-resample", action="store_true",
                    help="keep the file's native rate instead of canonicalizing")
     p.add_argument("--format", choices=AUDIO_FORMATS, default="float32")
-    p.set_defaults(func=cmd_embed)
 
     p = sub.add_parser("tag-dataset", parents=[canonical], help="embed a whole corpus per a manifest")
     p.add_argument("--manifest", required=True)
     p.add_argument("--jobs", type=_at_least(1), default=1, help="files embedded at a time")
-    p.set_defaults(func=cmd_tag_dataset)
 
     p = sub.add_parser("detect", parents=[canonical], help="measure echo z-scores in one file")
     p.add_argument("--in", dest="in_path", required=True)
@@ -136,7 +138,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--full-profile", action="store_true",
                    help="include the whole z profile in JSON output")
     p.add_argument("--format", choices=("json", "csv"), default="json")
-    p.set_defaults(func=cmd_detect)
 
     codec = argparse.ArgumentParser(add_help=False)
     codec.add_argument("--in", dest="in_path", required=True)
@@ -146,7 +147,6 @@ def build_parser() -> argparse.ArgumentParser:
     codec.add_argument("--alpha", type=float, default=PayloadConfig.alpha)
     codec.add_argument("--window", type=int, default=PayloadConfig.window)
     p = sub.add_parser("payload", help="windowed payload codec")
-    p.set_defaults(func=cmd_payload)
     actions = p.add_subparsers(dest="action", required=True)
     p = actions.add_parser("encode", parents=[codec], help="hide bits in a file")
     p.add_argument("--out", dest="out_path", required=True)
@@ -156,7 +156,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("evaluate", help="run a config-driven evaluation")
     p.add_argument("--config", required=True)
-    p.set_defaults(func=cmd_evaluate)
 
     return parser
 
@@ -300,11 +299,13 @@ def cmd_detect(args) -> int:
         raise CommandError(f"--band is for single-echo keys, and key {key_name!r} is a spread key")
     if not isinstance(key, SpreadKey) and args.enhanced:
         raise CommandError(f"--enhanced is for spread keys, and key {key_name!r} is a single echo")
+    band = tuple(args.band or DEFAULT_SINGLE_ECHO_BAND)
+    scoring_length(key, band)  # refuses a bad band or a key lag outside it before the clip is read
     clip = _canonicalize(load_audio(args.in_path), args.sample_rate, args.no_resample)
     if isinstance(key, SpreadKey):
         report = detect_spread(clip, key, enhanced=args.enhanced)
     else:
-        report = detect_single_echo(clip, tuple(args.band or DEFAULT_SINGLE_ECHO_BAND), key_lag=key.delta)
+        report = detect_single_echo(clip, band, key_lag=key.delta)
     row = {"clip_id": os.path.basename(args.in_path), "key_id": key_name,
            "duration_seconds": clip.duration_seconds,
            **report.to_dict(include_profile=args.full_profile)}
@@ -345,16 +346,15 @@ def cmd_evaluate(args) -> int:
 
 
 def main(argv=None) -> int:
+    logging.basicConfig(format="%(levelname)s %(name)s: %(message)s", stream=sys.stderr)
+    logging.getLogger().setLevel(logging.INFO)  # -v holds for the one call that gives it
     try:
         args = build_parser().parse_args(argv)
-        logging.basicConfig(
-            level=logging.DEBUG if args.verbose else logging.INFO,
-            format="%(levelname)s %(name)s: %(message)s",
-            stream=sys.stderr,
-        )
+        if args.verbose:
+            logging.getLogger().setLevel(logging.DEBUG)
         if args.seed is not None and args.command != "gen-patterns":
             raise CommandError(f"--seed is read by gen-patterns only, not by {args.command}")
-        return args.func(args)
+        return globals()["cmd_" + args.command.replace("-", "_")](args)
     except (OSError, ValueError) as exc:  # CommandError and ConfigError are ValueErrors
         log.debug("echotag failed", exc_info=True)
         print(f"echotag: error: {exc}", file=sys.stderr)

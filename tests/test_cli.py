@@ -1,4 +1,6 @@
+import argparse
 import json
+import logging
 import os
 import re
 import shlex
@@ -14,7 +16,7 @@ from echotag import (AudioClip, EchoKey, SpreadKey, detect_spread, generate_patt
                      load_key_file, save_audio, save_key_file)
 from echotag.cli import build_parser, main
 from echotag.evalrun import load_eval_config
-from echotag.keyfiles import ConfigError, bits_to_hex, load_pattern_set
+from echotag.keyfiles import ConfigError, bits_to_hex, hex_to_bits, load_pattern_set
 from helpers import SR, noise_clip
 
 
@@ -24,6 +26,7 @@ def keyfile(tmp_path):
     save_key_file({
         "echo75": EchoKey(75, 0.4),
         "echo50": EchoKey(50, 0.4),
+        "echo200": EchoKey(200, 0.4),  # outside the default scan band
         "pn0": SpreadKey(generate_pattern(1024, 11)),
     }, path)
     return path
@@ -189,7 +192,12 @@ class TestEmbedDetect:
         ("echo75", ["--enhanced"], "--enhanced is for spread keys, and key 'echo75' is a single echo"),
         ("pn0", ["--band", 30, 60], "--band is for single-echo keys, and key 'pn0' is a spread key"),
         ("pn0", ["--band", 25, 125], "--band is for single-echo keys, and key 'pn0' is a spread key"),
-    ], ids=["enhanced-single-echo", "band-spread", "default-band-spread"])
+        ("echo75", ["--band", 0, 125], "band must start at lag 1 or later; quefrency 0 is the log level, got 0"),
+        ("echo75", ["--band", 125, 25], "band [125, 25] must hold at least 3 lags"),
+        ("echo75", ["--band", 100, 200], "echo lag 75 outside the scan band [100, 200]"),
+        ("echo200", [], "echo lag 200 outside the scan band [25, 125]"),
+    ], ids=["enhanced-single-echo", "band-spread", "default-band-spread", "band-from-lag-zero",
+            "band-reversed", "band-without-the-key-lag", "key-lag-outside-the-default-band"])
     def test_the_other_detectors_flag_refused_before_reading(self, keyfile, carrier_wav, capsys,
                                                              monkeypatch, key, flags, message):
         monkeypatch.setattr("echotag.cli.load_audio", _work_that_must_not_run)
@@ -235,11 +243,6 @@ class TestEmbedDetect:
         err = capsys.readouterr().err
         assert "key 'k': must be a JSON object" in err
         assert "key 'pn': 'bits' must be a hex string, got 5" in err
-
-    def test_band_from_quefrency_zero_rejected(self, keyfile, carrier_wav, capsys):
-        assert run_cli("detect", "--in", carrier_wav, "--key-file", keyfile,
-                       "--key", "echo75", "--band", 0, 125) == 1
-        assert "lag 1" in capsys.readouterr().err
 
     def test_non_wav_input_named_once(self, tmp_path, keyfile, capsys):
         bad = tmp_path / "bad.wav"
@@ -425,9 +428,24 @@ class TestPayloadCli:
         capsys.readouterr()
         assert run_cli("payload", "decode", "--in", out, "--n-bits", 40) == 0
         decoded = json.loads(capsys.readouterr().out)["bits"]
-        from echotag.keyfiles import hex_to_bits
         errors = int(np.sum(hex_to_bits(decoded, 40) != bits))
         assert errors <= 2
+
+    def test_codec_flags_reach_both_halves(self, tmp_path, capsys):
+        carrier = tmp_path / "c.wav"
+        save_audio(noise_clip(303, seconds=1.0, scale=1.0), carrier, format="float32")
+        bits = np.random.default_rng(303).integers(0, 2, size=80).astype(np.uint8)
+        codec = ["--alpha", 0.3, "--window", 512, "--n-bits", 80]
+        out = tmp_path / "enc.wav"
+        assert run_cli("payload", "encode", "--in", carrier, "--out", out, "--bits", bits_to_hex(bits),
+                       "--delta0", 30, "--delta1", 60, *codec) == 0
+        assert json.loads(capsys.readouterr().out)["bits_per_second"] == SR / 512
+        errors = {}
+        for lags in ((30, 60), (60, 30)):  # swapped lags read every bit inverted
+            assert run_cli("payload", "decode", "--in", out, "--delta0", lags[0], "--delta1", lags[1], *codec) == 0
+            errors[lags] = int(np.sum(hex_to_bits(json.loads(capsys.readouterr().out)["bits"], 80) != bits))
+        assert errors[30, 60] <= 2  # the codec's error rate on noise, as in the default round trip
+        assert errors[60, 30] >= 78
 
     def test_capacity_exceeded(self, tmp_path, capsys):
         carrier = tmp_path / "c.wav"
@@ -488,6 +506,12 @@ PAYLOAD_ARGUMENT_ERRORS = {
         ["payload", "decode", "--in", wav], "the following arguments are required: --n-bits"),
     "decode-negative-n-bits": lambda tmp, wav: (
         ["payload", "decode", "--in", wav, "--n-bits", -1], "argument --n-bits: must be at least 0, got -1"),
+    "decode-window-below-four-lags": lambda tmp, wav: (
+        ["payload", "decode", "--in", wav, "--n-bits", 8, "--window", 100], "window must be >= 4x the larger lag"),
+    "encode-equal-lags": lambda tmp, wav: (
+        ["payload", "encode", "--in", wav, "--out", tmp / "o.wav", "--bits", "ff", "--n-bits", 8,
+         "--delta0", 50, "--delta1", 50],
+        "payload lags must differ"),
 }
 
 
@@ -889,6 +913,31 @@ def test_verbose_logs_the_traceback(tmp_path, keyfile, verbose):
     assert [line for line in lines if line.startswith("echotag: error:")] == [lines[-1]]
     assert str(missing) in lines[-1]
     assert ("Traceback" in proc.stderr) == verbose
+
+
+def test_verbose_holds_for_its_own_call(tmp_path, keyfile, caplog):
+    argv = ["detect", "--in", tmp_path / "missing.wav", "--key-file", keyfile, "--key", "echo75"]
+    traced = []
+    for verbose in (False, True, False):
+        caplog.clear()
+        assert run_cli(*(["-v"] if verbose else []), *argv) == 1
+        traced.append([r.levelno for r in caplog.records if r.exc_info])
+    assert traced == [[], [logging.DEBUG], []]
+
+
+def test_a_second_call_reuses_the_parser_and_runs_the_handler_bound_now(tmp_path, monkeypatch):
+    assert build_parser() is build_parser()
+    argv = ["evaluate", "--config", tmp_path / "missing.json"]
+    assert run_cli(*argv) == 1
+    built = []
+    init = argparse.ArgumentParser.__init__
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__",
+                        lambda self, *a, **kw: built.append(self) or init(self, *a, **kw))
+    ran = []
+    monkeypatch.setattr("echotag.cli.cmd_evaluate", lambda args: ran.append(args.config) or 7)
+    assert run_cli(*argv) == 7
+    assert ran == [str(tmp_path / "missing.json")]
+    assert built == []
 
 
 # run in one fresh interpreter: imports echotag.cli, runs each (step, argv) through main
