@@ -6,8 +6,9 @@ reported z-scores is a downstream policy decision. No command modifies its
 input files, and every command is deterministic given its arguments.
 
 A flag is declared on the command that reads it, so any other command refuses
-it; only --seed (read by gen-patterns) and -v come before the command. The
-parser is built once per process and binds no handler: `main` looks up
+it; only --seed (read by gen-patterns) and -v come before the command, and
+--format, --sample-rate or --jobs there (where they once went) is refused by
+name. The parser is built once per process and binds no handler: `main` looks up
 `cmd_<command>` (dashes as underscores) on the module at each call, so a handler
 rebound there, by a tracer or a test, is the one that runs. Commands and the
 parser raise; `main` alone turns a failure (an OSError or ValueError: a bad
@@ -97,11 +98,18 @@ def _at_least(low: int):
     return integer
 
 
+def _after_the_command(value):
+    """argparse type of a command's flag given before the command: always refused."""
+    raise argparse.ArgumentTypeError("goes after the command name, not before it")
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="echotag", description="Embed and detect echo watermarks in audio corpora.")
     parser.add_argument("--seed", type=_at_least(0), help="pattern seed for gen-patterns (default 0)")
     parser.add_argument("-v", "--verbose", action="store_true", help="log at DEBUG level")
+    for flag in ("--format", "--sample-rate", "--jobs"):
+        parser.add_argument(flag, type=_after_the_command, default=argparse.SUPPRESS, help=argparse.SUPPRESS)
     sub = parser.add_subparsers(dest="command", required=True)
 
     canonical = argparse.ArgumentParser(add_help=False)

@@ -18,6 +18,8 @@ from .dsp import convolve
 DEFAULT_SINGLE_ALPHA = 0.4
 DEFAULT_SPREAD_ALPHA = 0.01
 DEFAULT_SPREAD_DELTA = 75
+# samples per block of the echo add and the payload codec: temporaries stay a few MB at any length
+MIX_BLOCK = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -89,7 +91,9 @@ def embed_single_echo(clip: AudioClip, key: EchoKey) -> AudioClip:
     if key.delta >= len(clip):
         raise ValueError(f"echo lag {key.delta} must be smaller than clip length {len(clip)}")
     out = clip.samples.copy()
-    out[key.delta :] += key.alpha * clip.samples[: -key.delta]
+    for start in range(key.delta, out.size, MIX_BLOCK):
+        stop = min(start + MIX_BLOCK, out.size)
+        out[start:stop] += key.alpha * clip.samples[start - key.delta : stop - key.delta]
     return AudioClip(out, clip.sample_rate)
 
 

@@ -25,6 +25,7 @@ Config schema (version 1):
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import glob
 import os
@@ -189,8 +190,9 @@ def run_evaluation(config: EvalConfig) -> dict:
     """Execute the configured experiments; write results.csv and summary.json.
 
     output_dir is made before any experiment runs, so an output that cannot
-    be written fails before the work rather than after it. Returns the
-    summary dict.
+    be written fails before the work rather than after it. The old
+    summary.json is removed first and the new one written last, so a run
+    that did not finish has none. Returns the summary dict.
     """
     os.makedirs(config.output_dir, exist_ok=True)
     key = config.key
@@ -254,12 +256,13 @@ def run_evaluation(config: EvalConfig) -> dict:
             "clean_auroc": curve.clean_roc.auroc,
         }
 
-    results_path = os.path.join(config.output_dir, "results.csv")
-    with atomic_output(results_path, encoding="utf-8", newline="") as fh:
+    summary_path = os.path.join(config.output_dir, "summary.json")
+    with contextlib.suppress(FileNotFoundError):
+        os.remove(summary_path)
+    with atomic_output(os.path.join(config.output_dir, "results.csv"), encoding="utf-8", newline="") as fh:
         writer = csv.DictWriter(fh, fieldnames=RESULTS_FIELDS)
         writer.writeheader()
         for row in csv_rows:
             writer.writerow({k: _fmt(v) for k, v in row.items()})
-        # in the block, so that a failed summary.json also leaves results.csv as it was
-        write_json(os.path.join(config.output_dir, "summary.json"), summary)
+    write_json(summary_path, summary)
     return summary

@@ -3,7 +3,8 @@
 The classical per-window scheme: build two whole-clip echo versions of the
 carrier at lags delta0/delta1 and crossfade between them so each window's
 center carries one payload bit; at 44.1 kHz with 1024-sample windows that is
-about 43 bits per second. Decoding takes one 2-D cepstrum over the windows
+about 43 bits per second. Decoding takes the cepstrum of each window, one
+block of MIX_BLOCK // window windows at a time (64 at the default window),
 and compares each window's cepstral values at the two lags.
 """
 
@@ -15,11 +16,9 @@ import numpy as np
 
 from .audio import AudioClip
 from .dsp import real_cepstrum
-from .embed import EchoKey, embed_single_echo
+from .embed import MIX_BLOCK, EchoKey, embed_single_echo
 
 MAX_PAYLOAD_DELTA = 125
-# samples per block of the encoder's mix: its temporaries stay a few MB at any clip length
-MIX_BLOCK = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -86,7 +85,8 @@ def encode_payload(clip: AudioClip, bits, config: PayloadConfig = PayloadConfig(
 def decode_payload(clip: AudioClip, config: PayloadConfig, n_bits: int) -> np.ndarray:
     """Read n_bits back, one per window: bit = 0 iff c[delta0] > c[delta1].
 
-    One 2-D cepstrum over the first n_bits windows as rows; a tie reads 1.
+    Each block of max(1, MIX_BLOCK // window) windows, as rows, takes one 2-D
+    cepstrum, so temporaries stay a few MB at any clip length; a tie reads 1.
     """
     if n_bits < 0:
         raise ValueError("n_bits must be >= 0")
@@ -96,5 +96,9 @@ def decode_payload(clip: AudioClip, config: PayloadConfig, n_bits: int) -> np.nd
             f"{capacity_bits(len(clip), config)} bits, asked for {n_bits}"
         )
     windows = clip.samples[: n_bits * config.window].reshape(n_bits, config.window)
-    c = real_cepstrum(windows)
-    return (c[:, config.delta0] <= c[:, config.delta1]).astype(np.uint8)
+    rows = max(1, MIX_BLOCK // config.window)
+    bits = np.empty(n_bits, dtype=np.uint8)
+    for start in range(0, n_bits, rows):
+        c = real_cepstrum(windows[start : start + rows])
+        bits[start : start + rows] = c[:, config.delta0] <= c[:, config.delta1]
+    return bits

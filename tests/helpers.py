@@ -1,11 +1,12 @@
 """Shared test utilities: seeded signal factories, a small music synth, and
 the loop versions that vectorized code is checked against: the scalar
 exclusion z-score for zscore_profile, scipy's correlation for
-cross_correlate, the per-window payload decoder for
-decode_payload, the whole-clip envelope and mix for the blockwise
+cross_correlate, the per-window and whole-clip payload decoders
+for decode_payload, the whole-clip envelope and mix for the blockwise
 encode_payload, the bit-by-bit run scans and pairwise Hamming loop for
 patterns.max_run_length, repair_runs and PatternSet.distance_matrix, the
-single-echo kernel that embed_single_echo must equal a convolution with, and
+single-echo kernel that embed_single_echo must equal a convolution with and
+the whole-clip add that its blockwise add must equal, and
 the unmemoized forms of the work an evaluate cell shares between its two
 conditions: the whole-clip FFT convolution, a fresh-rng additive_noise draw
 and a freshly designed resample kernel, and the recursions over a composite
@@ -50,6 +51,13 @@ def exclusion_zscore(values, i: int, a: int, b: int, halfwidth: int = 0):
     return float((values[i] - mu) / sigma), False
 
 
+def decode_payload_whole_clip(clip, config, n_bits):
+    """decode_payload as one 2-D cepstrum over all n_bits windows as rows."""
+    windows = clip.samples[: n_bits * config.window].reshape(n_bits, config.window)
+    c = real_cepstrum(windows)
+    return (c[:, config.delta0] <= c[:, config.delta1]).astype(np.uint8)
+
+
 def decode_payload_per_window(clip, config, n_bits):
     """decode_payload one window at a time: one 1-D cepstrum per bit."""
     bits = np.empty(n_bits, dtype=np.uint8)
@@ -58,6 +66,13 @@ def decode_payload_per_window(clip, config, n_bits):
         c = real_cepstrum(window)
         bits[k] = 0 if c[config.delta0] > c[config.delta1] else 1
     return bits
+
+
+def embed_single_echo_whole_clip(clip, key) -> np.ndarray:
+    """embed_single_echo's samples with the scaled copy added as one clip-length array."""
+    out = clip.samples.copy()
+    out[key.delta :] += key.alpha * clip.samples[: -key.delta]
+    return out
 
 
 def encode_payload_whole_clip(clip, bits, config) -> np.ndarray:

@@ -298,8 +298,8 @@ def _write_json_failing_mid_write(target, monkeypatch):
     write_json(target, {"a": 1, "b": object()})  # "a" is written before "b" fails to encode
 
 
-def _evaluate_three_rows(output_dir, monkeypatch):
-    rows = [SweepRow("c0", "embedded", 5.0, index, "k", 75, 9.0, False) for index in range(3)]
+def _evaluate_three_rows(output_dir, monkeypatch, z=9.0):
+    rows = [SweepRow("c0", "embedded", 5.0, index, "k", 75, z, False) for index in range(3)]
     monkeypatch.setattr(evalrun, "run_duration_sweep", lambda *args, **kwargs: rows)
     evalrun.run_evaluation(evalrun.EvalConfig(
         corpus=[], key_name="k", key=EchoKey(75), output_dir=str(output_dir), seed=0,
@@ -319,19 +319,52 @@ def _results_csv_failing_mid_write(target, monkeypatch):
     _evaluate_three_rows(target.parent, monkeypatch)
 
 
-def _summary_json_failing_mid_write(target, monkeypatch):
-    monkeypatch.setattr(evalrun, "write_json",
-                        lambda path, summary: write_json(path, {**summary, "z": object()}))
-    _evaluate_three_rows(target.parent, monkeypatch)
-
-
 # case -> (target file name, a write that fails partway, given (target, monkeypatch))
 WRITES_FAILING_MID_WRITE = {
     "save_audio": ("o.wav", _save_audio_failing_mid_write),
     "write_json": ("o.json", _write_json_failing_mid_write),
     "results.csv": ("results.csv", _results_csv_failing_mid_write),
-    "summary.json": ("results.csv", _summary_json_failing_mid_write),
 }
+
+
+def _second_replace_failing(monkeypatch):
+    calls, replace = itertools.count(1), os.replace
+
+    def replace_then_fail(src, dst):
+        if next(calls) == 2:
+            raise OSError("No space left on device")
+        replace(src, dst)
+
+    monkeypatch.setattr(os, "replace", replace_then_fail)
+
+
+def _summary_json_failing_mid_write(monkeypatch):
+    monkeypatch.setattr(evalrun, "write_json",
+                        lambda path, summary: write_json(path, {**summary, "z": object()}))
+
+
+class TestEvaluateWritesSummaryLast:
+    @pytest.mark.parametrize("earlier_run", [False, True])
+    @pytest.mark.parametrize("failure", [_second_replace_failing, _summary_json_failing_mid_write],
+                             ids=["second-replace", "summary-json-mid-write"])
+    def test_a_stopped_run_leaves_no_summary_json(self, tmp_path, monkeypatch, failure, earlier_run):
+        """No summary.json is left beside a results.csv it does not describe."""
+        _evaluate_three_rows(tmp_path / "finished", monkeypatch)
+        run_dir = tmp_path / "run"
+        if earlier_run:
+            _evaluate_three_rows(run_dir, monkeypatch, z=5.0)
+        failure(monkeypatch)
+        with pytest.raises((OSError, TypeError)):
+            _evaluate_three_rows(run_dir, monkeypatch)
+        assert os.listdir(run_dir) == ["results.csv"]  # no temp file either
+        assert (run_dir / "results.csv").read_bytes() == (tmp_path / "finished" / "results.csv").read_bytes()
+
+    def test_a_rerun_replaces_both_files(self, tmp_path, monkeypatch):
+        _evaluate_three_rows(tmp_path / "finished", monkeypatch)
+        _evaluate_three_rows(tmp_path / "rerun", monkeypatch, z=5.0)
+        _evaluate_three_rows(tmp_path / "rerun", monkeypatch)
+        for name in ("results.csv", "summary.json"):
+            assert (tmp_path / "rerun" / name).read_bytes() == (tmp_path / "finished" / name).read_bytes()
 
 
 class TestAtomicOutput:

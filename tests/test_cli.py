@@ -861,10 +861,10 @@ REFUSED_ARGUMENTS = {
            ("--format", "json", ["evaluate"]))
        for command in commands},
     # the spellings from before each flag moved onto its command
-    "moved-format-detect": ("detect", ["--format", "csv"], [], "argument command: invalid choice: 'csv'"),
-    "moved-jobs-tag-dataset": ("tag-dataset", ["--jobs", 4], [], "argument command: invalid choice: '4'"),
-    "moved-sample-rate-embed": ("embed", ["--sample-rate", 48000], [],
-                                "argument command: invalid choice: '48000'"),
+    **{f"moved-{flag[2:]}-{command}": (command, [flag, value], [],
+                                       f"argument {flag}: goes after the command name, not before it")
+       for flag, value, command in (("--format", "csv", "detect"), ("--jobs", 4, "tag-dataset"),
+                                    ("--sample-rate", 48000, "embed"))},
     **{f"without-{flag[2:]}-{command}": (command, [], [], f"the following arguments are required: {flag}")
        for command, flag in (("gen-patterns", "--count"), ("embed", "--key-file"), ("tag-dataset", "--manifest"),
                              ("detect", "--key-file"), ("payload encode", "--bits"),

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from echotag import (
     AudioClip,
@@ -12,8 +14,8 @@ from echotag import (
     generate_pattern,
     real_cepstrum,
 )
-from echotag.embed import scaled_key
-from helpers import SR, noise_clip, single_echo_kernel
+from echotag.embed import MIX_BLOCK, scaled_key
+from helpers import SR, embed_single_echo_whole_clip, noise_clip, single_echo_kernel
 
 
 class TestKeys:
@@ -96,6 +98,20 @@ class TestEmbedSingleEcho:
         direct = embed_single_echo(clip, key).samples
         via_kernel = convolve(clip, single_echo_kernel(key)).samples[: len(clip)]
         assert np.max(np.abs(direct - via_kernel)) <= 1e-9
+
+    @settings(max_examples=30, deadline=None)
+    @given(blocks=st.integers(min_value=0, max_value=3), offset=st.integers(min_value=-2, max_value=2),
+           delta=st.sampled_from([1, 75, MIX_BLOCK - 1, MIX_BLOCK, MIX_BLOCK + 1]),
+           alpha=st.sampled_from([0.0, 0.01, 0.4, 0.999]))
+    @example(blocks=1, offset=0, delta=1, alpha=0.4)
+    @example(blocks=2, offset=1, delta=MIX_BLOCK, alpha=0.4)
+    @example(blocks=2, offset=-1, delta=MIX_BLOCK + 1, alpha=0.01)
+    def test_blockwise_add_equals_whole_clip_add(self, blocks, offset, delta, alpha):
+        """Tolerance 0: lengths on both sides of block multiples, lags up to past one block."""
+        n = max(blocks * MIX_BLOCK + offset, delta + 1)
+        clip = AudioClip(np.random.default_rng([n, delta]).standard_normal(n), SR)
+        key = EchoKey(delta, alpha)
+        assert embed_single_echo(clip, key).samples.tobytes() == embed_single_echo_whole_clip(clip, key).tobytes()
 
     def test_linear_in_carrier(self):
         a, b = noise_clip(23, seconds=0.1), noise_clip(24, seconds=0.1)

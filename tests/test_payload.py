@@ -15,7 +15,24 @@ from echotag import (
 )
 from echotag.embed import EchoKey, embed_single_echo
 from echotag.payload import MIX_BLOCK
-from helpers import SR, decode_payload_per_window, encode_payload_whole_clip, noise_clip
+from helpers import (
+    SR,
+    decode_payload_per_window,
+    decode_payload_whole_clip,
+    encode_payload_whole_clip,
+    music_clip,
+    noise_clip,
+)
+
+
+def _traced_peak(function, *args) -> int:
+    """Peak bytes tracemalloc sees allocated during function(*args)."""
+    tracemalloc.start()
+    try:
+        function(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 class TestPayloadConfig:
@@ -106,18 +123,13 @@ class TestEncodeMatchesWholeClipMix:
         out = encode_payload(clip, bits, config).samples
         assert out.tobytes() == encode_payload_whole_clip(clip, bits, config).tobytes()
 
-    def test_60s_clip_peaks_at_three_clip_sizes(self):
+    def test_60s_clip_peaks_at_two_clip_sizes(self):
         config = PayloadConfig()
         clip = noise_clip(94, seconds=60.0)
         bits = np.random.default_rng(94).integers(0, 2, size=capacity_bits(len(clip), config))
-        tracemalloc.start()
-        try:
-            encode_payload(clip, bits, config)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        # the two echoed copies, and embed_single_echo's scaled copy while it builds the second
-        assert peak <= 3 * clip.samples.nbytes + 2**20
+        peak = _traced_peak(encode_payload, clip, bits, config)
+        # the two echoed copies, and one block's temporaries of an echo add or the mix
+        assert peak <= 2 * clip.samples.nbytes + 4 * 2**20
 
 
 class TestDecode:
@@ -173,7 +185,7 @@ class TestDecode:
 
 
 class TestDecodeMatchesPerWindowLoop:
-    """The 2-D decode against the per-window loop it replaced: exact bits."""
+    """The decode against a loop of 1-D cepstra, one per window: exact bits."""
 
     CAPACITY = 24
 
@@ -223,3 +235,57 @@ class TestDecodeMatchesPerWindowLoop:
         clip, config = encoded
         with pytest.raises(ValueError, match="n_bits must be >= 0"):
             decode_payload(clip, config, -1)
+
+
+class TestDecodeMatchesWholeClip:
+    """The block decode against one 2-D cepstrum over every window: exact bits."""
+
+    @pytest.fixture(params=[
+        PayloadConfig(),
+        PayloadConfig(delta0=100, delta1=50),
+        PayloadConfig(delta0=30, delta1=75, alpha=0.3, window=512),
+        PayloadConfig(delta0=125, delta1=7, alpha=0.2, window=600),  # 65,536 / 600 leaves 136
+    ], ids=["default", "swapped-lags", "window-512", "window-600"])
+    def encoded(self, request):
+        """A payload clip of 2 blocks + 3 windows; silent windows (ties) in the first and second block."""
+        config = request.param
+        rows = max(1, MIX_BLOCK // config.window)
+        capacity = 2 * rows + 3
+        rng = np.random.default_rng([config.window, config.delta0, 21])
+        clip = AudioClip(rng.standard_normal(capacity * config.window + config.window // 3), SR)
+        samples = encode_payload(clip, rng.integers(0, 2, size=capacity), config).samples
+        for tie in (3, rows + 5):
+            samples[tie * config.window : (tie + 1) * config.window] = 0.0
+        return AudioClip(samples, SR), config, rows
+
+    @pytest.mark.parametrize("blocks, extra", [(0, 0), (0, 1), (1, -1), (1, 0), (1, 1), (2, 1), (2, 3)],
+                             ids=["0", "1", "rows-1", "rows", "rows+1", "2rows+1", "capacity"])
+    def test_bits_dtype_and_shape_equal_the_whole_clip_decode(self, encoded, blocks, extra):
+        clip, config, rows = encoded
+        n = blocks * rows + extra  # n_bits
+        assert n <= capacity_bits(len(clip), config) == 2 * rows + 3
+        bits = decode_payload(clip, config, n)
+        expected = decode_payload_whole_clip(clip, config, n)
+        assert bits.dtype == expected.dtype == np.uint8
+        assert bits.shape == expected.shape == (n,)
+        assert bits.tobytes() == expected.tobytes()
+
+    def test_silent_window_in_a_later_block_ties_to_one(self, encoded):
+        clip, config, rows = encoded
+        assert decode_payload(clip, config, 2 * rows + 1)[[3, rows + 5]].tolist() == [1, 1]
+
+    def test_round_trip_errors_equal_the_whole_clip_decode(self):
+        """A music clip at capacity, as in perfbench's round trip: its bit errors decode equal too."""
+        config = PayloadConfig()
+        clip = music_clip(95, seconds=20.0)
+        n = capacity_bits(len(clip), config)
+        bits = np.random.default_rng(95).integers(0, 2, size=n)
+        encoded = encode_payload(clip, bits, config)
+        decoded = decode_payload(encoded, config, n)
+        assert decoded.tobytes() == decode_payload_whole_clip(encoded, config, n).tobytes()
+        assert np.count_nonzero(decoded != bits) > 0
+
+    def test_60s_decode_peaks_under_4_mib(self):
+        config = PayloadConfig()
+        clip = noise_clip(96, seconds=60.0)
+        assert _traced_peak(decode_payload, clip, config, capacity_bits(len(clip), config)) <= 4 * 2**20
