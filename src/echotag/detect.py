@@ -9,13 +9,17 @@ A strong single echo at lag d distorts the scores at every other lag: its
 own peak stays in the band mean and sigma (inflating sigma about tenfold),
 and its rahmonics - the repeats (-1)^(k+1) alpha^k / (2k) of the echo
 kernel's cepstrum at lags k*d - displace the values at multiples of d.
-detect_single_echo therefore cancels them once the plain profile's peak
+single_echo_profile therefore cancels them once the plain profile's peak
 clears RAHMONIC_CANCEL_Z: it estimates alpha = 2*c[d], subtracts the
 predicted rahmonics for k >= 2, and rescores every lag outside the peak
 window d, d+-1 against the residual with that window left out. The
 detected lag and the z of the peak window are those of the plain profile,
 so a clip carrying one echo reads as a clean clip at every other lag, and
 a second strong echo shows as a rescored lag above the peak.
+
+detect_single_echo computes the cepstrum only at its band's lags
+(real_cepstrum's `lags`), which takes no inverse FFT. detect_spread takes
+the whole inverse: its correlation reads 2L + delta + 1 lags.
 """
 
 from __future__ import annotations
@@ -155,10 +159,29 @@ class DetectionReport:
 
 def detect_single_echo(clip: AudioClip, band=DEFAULT_SINGLE_ECHO_BAND,
                        key_lag: int | None = None) -> DetectionReport:
-    """Scan the whole-clip cepstrum for a single echo over the band.
+    """Scan the clip's cepstrum for a single echo over the band.
+
+    Only the band's lags of the whole-clip cepstrum are computed
+    (real_cepstrum's `lags`), and single_echo_profile scores them.
+    z_at_key is read from the reported profile when key_lag is given.
+    Requires band[0] >= 1 (quefrency 0 is the clip's log level, not an
+    echo), at least 3 lags in the band and len(clip) > 2*band[1].
+    """
+    need = _single_echo_length(band)
+    if len(clip) < need:
+        raise ValueError(f"clip too short: need at least {need} samples, got {len(clip)}")
+    profile, argmax_lag = single_echo_profile(real_cepstrum(clip, lags=range(band[0], band[1] + 1)), band)
+    z_at_key = profile.z_at(key_lag) if key_lag is not None else None
+    return DetectionReport(profile=profile, argmax_lag=argmax_lag, z_at_key=z_at_key)
+
+
+def single_echo_profile(values, band) -> tuple:
+    """(profile, argmax_lag) of a single echo scanned over band.
+
+    values[i] is the cepstrum at lag band[0] + i, for every lag of the band.
 
     argmax_lag is the argmax of the plain exclusion z-score profile. When
-    that profile's maximum z is at least RAHMONIC_CANCEL_Z, the reported
+    that profile's maximum z is at least RAHMONIC_CANCEL_Z, the returned
     profile is rahmonic-cancelled: with d the detected lag and alpha =
     2*c[d], the predicted rahmonics (-1)^(k+1) alpha^k / (2k) are subtracted
     at each lag k*d (k >= 2) in the band, and every lag outside the peak
@@ -167,31 +190,26 @@ def detect_single_echo(clip: AudioClip, band=DEFAULT_SINGLE_ECHO_BAND,
     threshold the profile is the plain one.
 
     A second strong echo in the same clip is rescored above the detected
-    peak's plain z, so report.profile.argmax_lag may then differ from
-    argmax_lag; that is how a second echo shows.
-
-    z_at_key is read from the reported profile when key_lag is given.
-    Requires band[0] >= 1 (quefrency 0 is the clip's log level, not an
-    echo), at least 3 lags in the band and len(clip) > 2*band[1].
+    peak's plain z, so profile.argmax_lag may then differ from argmax_lag;
+    that is how a second echo shows.
     """
-    need = _single_echo_length(band)
-    if len(clip) < need:
-        raise ValueError(f"clip too short: need at least {need} samples, got {len(clip)}")
-    c = real_cepstrum(clip)
-    plain = zscore_profile(c, band, halfwidth=0, source="cepstrum")
+    a, b = int(band[0]), int(band[1])
+    values = np.asarray(values, dtype=np.float64)
+    if values.shape != (b - a + 1,):
+        raise ValueError(f"band [{a}, {b}] needs {b - a + 1} cepstrum values, got shape {values.shape}")
+    plain = replace(zscore_profile(values, (0, b - a), halfwidth=0, source="cepstrum"), band=(a, b))
     profile = plain
     if np.max(plain.z) >= RAHMONIC_CANCEL_Z:
-        profile = _cancel_rahmonics(c, plain)
-    z_at_key = profile.z_at(key_lag) if key_lag is not None else None
-    return DetectionReport(profile=profile, argmax_lag=plain.argmax_lag, z_at_key=z_at_key)
+        profile = _cancel_rahmonics(values, plain)
+    return profile, plain.argmax_lag
 
 
-def _cancel_rahmonics(cepstrum: np.ndarray, plain: ZScoreProfile) -> ZScoreProfile:
-    """Rescore plain's band with the peak's rahmonics and window removed."""
+def _cancel_rahmonics(values: np.ndarray, plain: ZScoreProfile) -> ZScoreProfile:
+    """Rescore plain's band with the peak's rahmonics and window removed; values span the band."""
     a, b = plain.band
     d = plain.argmax_lag
-    residual = cepstrum[a : b + 1].copy()
-    alpha = 2.0 * cepstrum[d]
+    residual = values.copy()
+    alpha = 2.0 * values[d - a]
     for k in range(2, b // d + 1):
         residual[k * d - a] -= (-1) ** (k + 1) * alpha**k / (2 * k)
     rescored = np.abs(np.arange(a, b + 1) - d) > PEAK_WINDOW_HALFWIDTH

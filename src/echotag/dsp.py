@@ -2,12 +2,19 @@
 
 The real cepstrum is ifft(log|fft(x)|) taken over the whole buffer (or each
 row of a stack of them), with no analysis window and no padding; an echo at
-lag d shows up as a peak at quefrency d (and its mirror N-d).
+lag d shows up as a peak at quefrency d (and its mirror N-d). Callers that
+read only a few lags ask real_cepstrum for those (`lags=`), which projects
+the log spectrum onto their cosines and takes no inverse FFT: single-echo
+detection reads its band, the payload decoder its two lags per window.
+Spread detection and the bit-flip curve correlate a template over
+2L + delta + 1 lags, and take the whole inverse.
 `scipy.signal` is imported inside convolve, its one caller here, so that
 commands which never convolve do not pay its import time.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -16,24 +23,72 @@ from .audio import AudioClip
 # magnitude floor applied before the log so silent or band-limited input
 # yields a finite cepstrum
 SPECTRAL_FLOOR = 1e-12
+# real_cepstrum(lags=) projects in one block of all bins while bins * lags is at
+# most this (the payload decoder's 513 x 2), and in blocks of about sqrt(bins) past it
+ONE_BLOCK_TERMS = 1 << 12
 
 
-def real_cepstrum(clip) -> np.ndarray:
+def real_cepstrum(clip, lags=None) -> np.ndarray:
     """Real cepstrum of a clip (or bare sample array), along the last axis.
 
     Inputs:
         clip: AudioClip, or an (..., N) array with N >= 2 whose length-N rows
             are each transformed as a 1-D call on that row would be
+        lags: None for every lag, or a 1-D sequence of integer lags in
+            [1, N - 1], in any order, repeats allowed
     Output:
-        float64 array of the input's shape, indexed by lag along the last
-        axis; symmetric about N/2 (values[k] == values[N-k]) since the log
-        spectrum is real and even.
+        float64 array indexed by lag along the last axis: of the input's shape
+        without `lags`, symmetric about N/2 (values[k] == values[N-k]) since
+        the log spectrum is real and even; with `lags`, of shape
+        (..., len(lags)), the cepstrum at those lags, equal to the whole
+        inverse up to rounding and exactly 0 at every lag of a flat log
+        spectrum (silent input). Lag 0, the log level, is refused there.
     """
     x = clip.samples if isinstance(clip, AudioClip) else np.asarray(clip, dtype=np.float64)
     if x.ndim == 0 or x.shape[-1] < 2:
         raise ValueError("cepstrum needs at least 2 samples")
+    n = x.shape[-1]
+    if lags is not None:
+        lags = np.asarray(lags)
+        if lags.ndim != 1 or (lags.size and lags.dtype.kind not in "iu"):
+            raise ValueError("lags must be a 1-D sequence of integers")
+        if lags.size and not (1 <= lags.min() and lags.max() < n):
+            raise ValueError(f"cepstrum lags must lie in [1, {n - 1}] for {n} samples, "
+                             f"got {lags.min()} to {lags.max()}")
     magnitude = np.abs(np.fft.rfft(x, axis=-1))
-    return np.fft.irfft(np.log(np.maximum(magnitude, SPECTRAL_FLOOR)), n=x.shape[-1], axis=-1)
+    if lags is None:
+        return np.fft.irfft(np.log(np.maximum(magnitude, SPECTRAL_FLOOR)), n=n, axis=-1)
+    return _cepstrum_at(magnitude, n, lags.astype(np.int64))
+
+
+def _cepstrum_at(magnitude: np.ndarray, n: int, lags: np.ndarray) -> np.ndarray:
+    """c[q] = (2/n) sum_k w_k log|X_k| cos(2 pi k q / n) over the one-sided bins.
+
+    w_k is 1, and 1/2 at the Nyquist bin of an even n; bin 0's log is
+    subtracted from every bin first, which moves only lag 0. The bins go in
+    blocks k = j * block + r: one matrix product against a (block, 2m) table
+    of cos and sin(2 pi r q / n) gives each block's sums, and the angle sum
+    cos(a + b) = cos a cos b - sin a sin b turns them into the lag's sum with a
+    (blocks, m) table of phases 2 pi j block q / n. Every angle is reduced
+    mod n in integers before it is scaled.
+    """
+    bins = magnitude.shape[-1]
+    m = lags.size
+    block = bins if bins * m <= ONE_BLOCK_TERMS else math.isqrt(bins - 1) + 1
+    blocks = -(-bins // block)
+    spectrum = np.zeros(magnitude.shape[:-1] + (blocks * block,))  # zero past the last bin
+    logmag = spectrum[..., :bins]
+    np.log(np.maximum(magnitude, SPECTRAL_FLOOR, out=logmag), out=logmag)
+    logmag -= logmag[..., :1]
+    if n % 2 == 0:
+        logmag[..., -1] *= 0.5
+    angle = (2.0 * np.pi / n) * (np.arange(block)[:, None] * lags % n)
+    if blocks == 1:
+        return (2.0 / n) * (spectrum @ np.cos(angle))
+    table = np.concatenate([np.cos(angle), np.sin(angle)], axis=1)
+    sums = (spectrum.reshape(-1, block) @ table).reshape(magnitude.shape[:-1] + (blocks, 2 * m))
+    phase = (2.0 * np.pi / n) * (block * np.arange(blocks)[:, None] * lags % n)
+    return (2.0 / n) * np.sum(np.cos(phase) * sums[..., :m] - np.sin(phase) * sums[..., m:], axis=-2)
 
 
 def convolve(clip: AudioClip, kernel) -> AudioClip:

@@ -91,10 +91,21 @@ def embed_single_echo(clip: AudioClip, key: EchoKey) -> AudioClip:
     if key.delta >= len(clip):
         raise ValueError(f"echo lag {key.delta} must be smaller than clip length {len(clip)}")
     out = clip.samples.copy()
-    for start in range(key.delta, out.size, MIX_BLOCK):
-        stop = min(start + MIX_BLOCK, out.size)
-        out[start:stop] += key.alpha * clip.samples[start - key.delta : stop - key.delta]
+    for start in range(0, out.size, MIX_BLOCK):
+        add_echo(out[start : start + MIX_BLOCK], clip.samples, start, key)
     return AudioClip(out, clip.sample_rate)
+
+
+def add_echo(block: np.ndarray, x: np.ndarray, start: int, key: EchoKey) -> np.ndarray:
+    """Add key's echo alpha * x[n - delta] (x[m<0] = 0) to block, in place, and return it.
+
+    block holds x[start : start + len(block)]: a slice of a copy of x, or its own copy.
+    """
+    stop = start + block.size
+    if stop > key.delta:
+        lo = max(start, key.delta)
+        block[lo - start :] += key.alpha * x[lo - key.delta : stop - key.delta]
+    return block
 
 
 def embed_spread(clip: AudioClip, key: SpreadKey) -> AudioClip:

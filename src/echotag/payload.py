@@ -1,11 +1,12 @@
 """Windowed echo-hiding payload codec.
 
-The classical per-window scheme: build two whole-clip echo versions of the
-carrier at lags delta0/delta1 and crossfade between them so each window's
-center carries one payload bit; at 44.1 kHz with 1024-sample windows that is
-about 43 bits per second. Decoding takes the cepstrum of each window, one
-block of MIX_BLOCK // window windows at a time (64 at the default window),
-and compares each window's cepstral values at the two lags.
+The classical per-window scheme: two echo versions of the carrier at lags
+delta0/delta1, crossfaded so each window's center carries one payload bit;
+at 44.1 kHz with 1024-sample windows that is about 43 bits per second. The
+encoder builds both versions and their mix one MIX_BLOCK slice at a time.
+Decoding reads each window's cepstrum at the two lags only (real_cepstrum's
+`lags`, no inverse FFT), one block of MIX_BLOCK // window windows at a time
+(64 at the default window), and compares the two values.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ import numpy as np
 
 from .audio import AudioClip
 from .dsp import real_cepstrum
-from .embed import MIX_BLOCK, EchoKey, embed_single_echo
+from .embed import MIX_BLOCK, EchoKey, add_echo, embed_single_echo
 
 MAX_PAYLOAD_DELTA = 125
 
@@ -69,16 +70,19 @@ def encode_payload(clip: AudioClip, bits, config: PayloadConfig = PayloadConfig(
         raise ValueError("payload bits must be 0 or 1")
     if config.alpha == 0:
         return clip.copy()
-    x0 = embed_single_echo(clip, EchoKey(config.delta0, config.alpha))
+    key0 = EchoKey(config.delta0, config.alpha)
     if bits.size == 0:
-        return x0
-    x1 = embed_single_echo(clip, EchoKey(config.delta1, config.alpha))
+        return embed_single_echo(clip, key0)
+    key1 = EchoKey(config.delta1, config.alpha)
+    x = clip.samples
     centers = (np.arange(bits.size) + 0.5) * config.window
-    out = x0.samples  # mixed in place, one block at a time
-    for start in range(0, out.size, MIX_BLOCK):
-        stop = min(start + MIX_BLOCK, out.size)
+    out = np.empty_like(x)
+    for start in range(0, x.size, MIX_BLOCK):
+        stop = min(start + MIX_BLOCK, x.size)
+        x0 = add_echo(x[start:stop].copy(), x, start, key0)
+        x1 = add_echo(x[start:stop].copy(), x, start, key1)
         envelope = np.interp(np.arange(start, stop), centers, bits)
-        out[start:stop] = (1.0 - envelope) * out[start:stop] + envelope * x1.samples[start:stop]
+        out[start:stop] = (1.0 - envelope) * x0 + envelope * x1
     return AudioClip(out, clip.sample_rate)
 
 
@@ -86,7 +90,9 @@ def decode_payload(clip: AudioClip, config: PayloadConfig, n_bits: int) -> np.nd
     """Read n_bits back, one per window: bit = 0 iff c[delta0] > c[delta1].
 
     Each block of max(1, MIX_BLOCK // window) windows, as rows, takes one 2-D
-    cepstrum, so temporaries stay a few MB at any clip length; a tie reads 1.
+    cepstrum at the two lags only, so temporaries stay a few MB at any clip
+    length. A silent window's cepstrum is exactly 0 at both lags: a tie,
+    which reads 1.
     """
     if n_bits < 0:
         raise ValueError("n_bits must be >= 0")
@@ -99,6 +105,6 @@ def decode_payload(clip: AudioClip, config: PayloadConfig, n_bits: int) -> np.nd
     rows = max(1, MIX_BLOCK // config.window)
     bits = np.empty(n_bits, dtype=np.uint8)
     for start in range(0, n_bits, rows):
-        c = real_cepstrum(windows[start : start + rows])
-        bits[start : start + rows] = c[:, config.delta0] <= c[:, config.delta1]
+        c = real_cepstrum(windows[start : start + rows], lags=(config.delta0, config.delta1))
+        bits[start : start + rows] = c[:, 0] <= c[:, 1]
     return bits

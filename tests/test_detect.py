@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -27,10 +28,17 @@ from echotag.detect import (
     SPREAD_BAND_START,
     SPREAD_EXCLUSION_HALFWIDTH,
     scoring_length,
+    single_echo_profile,
     spread_profile,
 )
 from echotag.harness import apply_channel
 from helpers import SR, exclusion_zscore, noise_clip
+
+
+def plain_profile(clip, band=(25, 125)):
+    """detect_single_echo's plain profile: the z-scores of the cepstrum at the band's lags."""
+    a, b = band
+    return replace(zscore_profile(real_cepstrum(clip, lags=range(a, b + 1)), (0, b - a)), band=band)
 
 
 def two_pass_oracle(values, i, a, b, halfwidth=0):
@@ -179,7 +187,7 @@ class TestDetectSingleEcho:
             tagged = embed_single_echo(clip, EchoKey(75, 0.4))
             shift = ChannelSpec(kind="random_resample", probability=1, low=float(factor), high=float(factor))
             [shifted] = apply_channel([tagged], shift, salt=index)
-            plain = zscore_profile(real_cepstrum(shifted), (25, 125))
+            plain = plain_profile(shifted)
             report = detect_single_echo(shifted)
             assert np.max(plain.z) >= RAHMONIC_CANCEL_Z  # cancellation ran
             d = plain.argmax_lag
@@ -190,14 +198,14 @@ class TestDetectSingleEcho:
     def test_clean_profile_below_threshold_is_plain(self):
         for seed in range(10):
             clip = noise_clip((36, seed), seconds=5.0, scale=1.0)
-            plain = zscore_profile(real_cepstrum(clip), (25, 125))
+            plain = plain_profile(clip)
             assert np.max(plain.z) < RAHMONIC_CANCEL_Z
             np.testing.assert_array_equal(detect_single_echo(clip).profile.z, plain.z)
 
     def test_second_echo_rescored_above_peak(self):
         clip = noise_clip(34, seconds=10.0, scale=1.0)
         tagged = embed_single_echo(embed_single_echo(clip, EchoKey(50, 0.4)), EchoKey(90, 0.3))
-        plain = zscore_profile(real_cepstrum(tagged), (25, 125))
+        plain = plain_profile(tagged)
         report = detect_single_echo(tagged)
         assert report.argmax_lag == plain.argmax_lag == 50
         assert report.profile.z_at(50) == plain.z_at(50)
@@ -209,12 +217,16 @@ class TestDetectSingleEcho:
         with pytest.raises(ValueError, match="lag 1"):
             detect_single_echo(tagged, band=(0, 125))
         # too few lags outside the peak window to rescore: plain profile
-        plain = zscore_profile(real_cepstrum(tagged), (74, 76))
+        plain = plain_profile(tagged, (74, 76))
         np.testing.assert_array_equal(detect_single_echo(tagged, band=(74, 76)).profile.z, plain.z)
 
     def test_clip_too_short(self):
         with pytest.raises(ValueError, match="too short"):
             detect_single_echo(AudioClip(np.zeros(250), SR))
+
+    def test_profile_needs_one_value_per_band_lag(self):
+        with pytest.raises(ValueError, match=r"needs 101 cepstrum values, got shape \(126,\)"):
+            single_echo_profile(np.zeros(126), (25, 125))
 
     def test_loudness_invariance_of_profile(self):
         clip = noise_clip(40, seconds=5.0, scale=1.0)

@@ -102,8 +102,8 @@ class TestRealCepstrum:
         with pytest.raises(ValueError, match="cepstrum needs at least 2 samples"):
             real_cepstrum(x)
 
-    # decode_payload takes every window's cepstrum in one 2-D call; each row
-    # must be exactly what a 1-D call on that row gives (tolerance 0)
+    # a 2-D call on a stack of rows must give each row exactly what a 1-D
+    # call on that row gives (tolerance 0)
     @settings(max_examples=60, deadline=None)
     @given(rows=st.integers(min_value=0, max_value=8), n=st.integers(min_value=2, max_value=2049),
            seed=st.integers(min_value=0, max_value=2**31))
@@ -113,6 +113,63 @@ class TestRealCepstrum:
         expected = np.stack([real_cepstrum(r) for r in x]) if rows else np.empty((0, n))
         assert c.shape == x.shape and c.dtype == np.float64
         assert np.array_equal(c, expected)
+
+
+# smooth and non-smooth, odd and even lengths; 85,631 = 7 * 13 * 941 is a
+# pitch-shifted segment length of the benchmark's eval-pitch workload
+CEPSTRUM_LENGTHS = [2, 3, 251, 1023, 1024, 4099, 44100, 85631]
+
+
+class TestRealCepstrumAtLags:
+    """real_cepstrum(x, lags) against the whole inverse at those lags: atol 1e-12."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(n=st.sampled_from(CEPSTRUM_LENGTHS) | st.integers(min_value=2, max_value=3000),
+           rows=st.sampled_from([None, 1, 3]), data=st.data())
+    def test_equals_the_whole_inverse_at_the_lags_property(self, n, rows, data):
+        """Unsorted lags with repeats, always holding 1, N//2 (twice) and N-1; 1-D clips and 2-D stacks."""
+        drawn = data.draw(st.lists(st.integers(min_value=1, max_value=n - 1), max_size=120))
+        lags = data.draw(st.permutations(drawn + [1, n // 2, n - 1, n // 2]))
+        rng = np.random.default_rng([n, len(lags)])
+        x = rng.standard_normal((rows, n) if rows else n)
+        expected = real_cepstrum(x)[..., lags]
+        c = real_cepstrum(AudioClip(x, SR) if rows is None else x, lags)
+        assert c.shape == x.shape[:-1] + (len(lags),) and c.dtype == np.float64
+        np.testing.assert_allclose(c, expected, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(real_cepstrum(1e-6 * x, lags), expected, rtol=0, atol=1e-12)
+        assert np.all(real_cepstrum(np.zeros_like(x), lags) == 0.0)
+
+    @pytest.mark.parametrize("shape, lags", [
+        ((85631,), range(25, 126)),             # single-echo detection's band at a non-smooth N
+        ((441000,), range(25, 126)),            # and at a 10 s clip's smooth N
+        ((64, 1024), [50, 100]),                # a block of the payload decoder's windows
+        ((109, 600), [125, 7]),
+    ], ids=["band-85631", "band-441000", "decoder-64x1024", "decoder-109x600"])
+    def test_the_callers_shapes(self, shape, lags):
+        x = np.random.default_rng(shape).standard_normal(shape)
+        expected = real_cepstrum(x)[..., list(lags)]
+        np.testing.assert_allclose(real_cepstrum(x, lags), expected, rtol=0, atol=1e-12)
+
+    def test_silent_rows_are_exact_zeros_beside_loud_ones(self):
+        x = np.random.default_rng(3).standard_normal((4, 1024))
+        x[[1, 3]] = 0.0
+        c = real_cepstrum(x, [50, 100])
+        assert np.all(c[[1, 3]] == 0.0)
+        assert np.all(c[[0, 2]] != 0.0)
+
+    @pytest.mark.parametrize("lags, message", [
+        ([0], r"lags must lie in \[1, 1023\] for 1024 samples, got 0 to 0"),
+        ([50, 1024], r"lags must lie in \[1, 1023\] for 1024 samples, got 50 to 1024"),
+        ([-1, 50], r"got -1 to 50"),
+        ([50.0], "lags must be a 1-D sequence of integers"),
+        ([[50, 100]], "lags must be a 1-D sequence of integers"),
+    ], ids=["lag-0", "lag-N", "negative", "float", "2-D"])
+    def test_lags_outside_1_to_n_minus_1_refused(self, lags, message):
+        with pytest.raises(ValueError, match=message):
+            real_cepstrum(np.ones(1024), lags)
+
+    def test_no_lags_is_an_empty_last_axis(self):
+        assert real_cepstrum(np.ones((3, 16)), []).shape == (3, 0)
 
 
 class TestConvolve:
