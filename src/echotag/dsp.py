@@ -2,12 +2,10 @@
 
 The real cepstrum is ifft(log|fft(x)|) taken over the whole buffer (or each
 row of a stack of them), with no analysis window and no padding; an echo at
-lag d shows up as a peak at quefrency d (and its mirror N-d). Callers that
-read only a few lags ask real_cepstrum for those (`lags=`), which projects
-the log spectrum onto their cosines and takes no inverse FFT: single-echo
-detection reads its band, the payload decoder its two lags per window.
-Spread detection and the bit-flip curve correlate a template over
-2L + delta + 1 lags, and take the whole inverse.
+lag d shows up as a peak at quefrency d (and its mirror N-d). With `lags`,
+real_cepstrum computes only the lags a caller reads, with no inverse FFT:
+single-echo detection's band and the payload decoder's two lags. Spread
+detection and the bit-flip curve take the whole inverse.
 `scipy.signal` is imported inside convolve, its one caller here, so that
 commands which never convolve do not pay its import time.
 """

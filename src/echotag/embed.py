@@ -99,7 +99,7 @@ def embed_single_echo(clip: AudioClip, key: EchoKey) -> AudioClip:
 def add_echo(block: np.ndarray, x: np.ndarray, start: int, key: EchoKey) -> np.ndarray:
     """Add key's echo alpha * x[n - delta] (x[m<0] = 0) to block, in place, and return it.
 
-    block holds x[start : start + len(block)]: a slice of a copy of x, or its own copy.
+    block holds x[start : start + len(block)], as a slice of the output or a copy of its own.
     """
     stop = start + block.size
     if stop > key.delta:
