@@ -23,7 +23,6 @@ Manifest file (tag-dataset), JSON:
      "base_input_dir": ".",
      "base_output_dir": "tagged",
      "overwrite": false,
-     "resample": true,
      "format": "float32",
      "entries": [{"input": "drums/*.wav", "key": "echo50", "output_dir": "drums"}]}
 
@@ -49,7 +48,7 @@ from concurrent.futures import ThreadPoolExecutor
 from .audio import DEFAULT_SAMPLE_RATE, load_audio, resample, save_audio
 from .detect import DEFAULT_SINGLE_ECHO_BAND, detect_single_echo, detect_spread, scoring_length
 from .embed import SpreadKey, embed
-from .evalrun import load_eval_config, run_evaluation
+from .evalrun import csv_value, load_eval_config, run_evaluation
 from .keyfiles import (
     BOOLEAN,
     DIRECTORY,
@@ -74,6 +73,7 @@ AUDIO_FORMATS = ("pcm16", "float32")
 AUDIO_FORMAT = Kind("'pcm16' or 'float32'", lambda v: v in AUDIO_FORMATS)
 ENTRIES = Kind("a list of JSON objects",
                lambda v: isinstance(v, list) and all(isinstance(e, dict) for e in v))
+GONE_RESAMPLE = Kind("left out (tag-dataset --sample-rate native keeps each file's own rate)", lambda v: False)
 DETECT_CSV_FIELDS = ("clip_id", "key_id", "duration_seconds", "argmax_lag", "z_at_key", "degenerate")
 
 
@@ -98,6 +98,14 @@ def _at_least(low: int):
     return integer
 
 
+def _sample_rate(text):
+    """argparse type of --sample-rate: an integer >= 1, or None for 'native' (each file keeps its rate)."""
+    try:
+        return None if text == "native" else _at_least(1)(text)
+    except ValueError:  # not an integer; _at_least's "must be at least 1" passes through
+        raise argparse.ArgumentTypeError(f"must be a positive integer or 'native', got {text!r}") from None
+
+
 def _after_the_command(value):
     """argparse type of a command's flag given before the command: always refused."""
     raise argparse.ArgumentTypeError("goes after the command name, not before it")
@@ -113,8 +121,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     canonical = argparse.ArgumentParser(add_help=False)
-    canonical.add_argument("--sample-rate", type=_at_least(1), default=DEFAULT_SAMPLE_RATE,
-                           help="canonical sample rate to resample to (default 44100)")
+    canonical.add_argument("--sample-rate", type=_sample_rate, default=DEFAULT_SAMPLE_RATE,
+                           help="rate to resample each file to, or 'native' to keep its own (default 44100)")
 
     p = sub.add_parser("gen-patterns", help="generate a time-spread pattern set file")
     p.add_argument("--count", type=int, required=True)
@@ -126,8 +134,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", dest="out_path", required=True)
     p.add_argument("--key-file", required=True)
     p.add_argument("--key", default=None, help="key name (optional when the file has exactly one)")
-    p.add_argument("--no-resample", action="store_true",
-                   help="keep the file's native rate instead of canonicalizing")
     p.add_argument("--format", choices=AUDIO_FORMATS, default="float32")
 
     p = sub.add_parser("tag-dataset", parents=[canonical], help="embed a whole corpus per a manifest")
@@ -142,7 +148,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="scan band for a single-echo key (default %d %d)" % DEFAULT_SINGLE_ECHO_BAND)
     p.add_argument("--enhanced", action="store_true",
                    help="sharpen a spread key's correlation before scoring")
-    p.add_argument("--no-resample", action="store_true")
     p.add_argument("--full-profile", action="store_true",
                    help="include the whole z profile in JSON output")
     p.add_argument("--format", choices=("json", "csv"), default="json")
@@ -184,10 +189,8 @@ def _require_out_dir(path) -> None:
         raise CommandError(f"--out directory {out_dir!r} does not exist")
 
 
-def _canonicalize(clip, target_rate, no_resample):
-    if no_resample or clip.sample_rate == target_rate:
-        return clip
-    return resample(clip, target_rate)
+def _canonicalize(clip, target_rate):
+    return clip if target_rate in (None, clip.sample_rate) else resample(clip, target_rate)
 
 
 def cmd_gen_patterns(args) -> int:
@@ -205,18 +208,15 @@ def cmd_gen_patterns(args) -> int:
     return 0
 
 
-def _embed_file(in_path, out_path, key, target_rate, no_resample, out_format):
-    clip = load_audio(in_path)
-    clip = _canonicalize(clip, target_rate, no_resample)
-    tagged = embed(clip, key)
+def _embed_file(in_path, out_path, key, target_rate, out_format):
+    tagged = embed(_canonicalize(load_audio(in_path), target_rate), key)
     return save_audio(tagged, out_path, format=out_format)
 
 
 def cmd_embed(args) -> int:
     key_name, key = _pick_key(load_key_file(args.key_file), args.key)
     _require_out_dir(args.out_path)
-    clipped = _embed_file(args.in_path, args.out_path, key,
-                          args.sample_rate, args.no_resample, args.format)
+    clipped = _embed_file(args.in_path, args.out_path, key, args.sample_rate, args.format)
     print(json.dumps({
         "in": args.in_path,
         "out": args.out_path,
@@ -233,7 +233,7 @@ def load_manifest(path):
         base_in = fields.path("base_input_dir", DIRECTORY, ".")
         base_out = fields.path("base_output_dir", DIRECTORY, ".")
         overwrite = fields.get("overwrite", BOOLEAN, False)
-        do_resample = fields.get("resample", BOOLEAN, True)
+        fields.get("resample", GONE_RESAMPLE, None)
         out_format = fields.get("format", AUDIO_FORMAT, "float32")
         entries = fields.get("entries", ENTRIES, [])
         jobs_entries = []
@@ -259,19 +259,18 @@ def load_manifest(path):
                 if overwrite is False and os.path.exists(out_path):
                     entry.problem(f"output exists and overwrite is false: {out_path}")
                 jobs_entries.append((in_path, out_path, key_name))
-    return jobs_entries, keys, base_out, do_resample, out_format
+    return jobs_entries, keys, base_out, out_format
 
 
 def cmd_tag_dataset(args) -> int:
-    entries, keys, base_out, do_resample, out_format = load_manifest(args.manifest)
+    entries, keys, base_out, out_format = load_manifest(args.manifest)
     os.makedirs(base_out, exist_ok=True)
 
     def _one(entry):
         in_path, out_path, key_name = entry
         os.makedirs(os.path.dirname(out_path) or ".", exist_ok=True)
         try:
-            clipped = _embed_file(in_path, out_path, keys[key_name],
-                                  args.sample_rate, not do_resample, out_format)
+            clipped = _embed_file(in_path, out_path, keys[key_name], args.sample_rate, out_format)
             return {"in": in_path, "out": out_path, "key": key_name,
                     "clipped_samples": clipped, "error": None}
         except (OSError, ValueError) as exc:
@@ -309,7 +308,7 @@ def cmd_detect(args) -> int:
         raise CommandError(f"--enhanced is for spread keys, and key {key_name!r} is a single echo")
     band = tuple(args.band or DEFAULT_SINGLE_ECHO_BAND)
     scoring_length(key, band)  # refuses a bad band or a key lag outside it before the clip is read
-    clip = _canonicalize(load_audio(args.in_path), args.sample_rate, args.no_resample)
+    clip = _canonicalize(load_audio(args.in_path), args.sample_rate)
     if isinstance(key, SpreadKey):
         report = detect_spread(clip, key, enhanced=args.enhanced)
     else:
@@ -320,9 +319,9 @@ def cmd_detect(args) -> int:
     if args.format == "json":
         print(json.dumps(row, sort_keys=True))
     else:
-        writer = csv.DictWriter(sys.stdout, fieldnames=DETECT_CSV_FIELDS, extrasaction="ignore")
+        writer = csv.DictWriter(sys.stdout, fieldnames=DETECT_CSV_FIELDS)
         writer.writeheader()
-        writer.writerow(row)
+        writer.writerow({k: csv_value(row[k]) for k in DETECT_CSV_FIELDS})
     return 0
 
 

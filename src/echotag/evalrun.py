@@ -176,7 +176,8 @@ def load_eval_config(path) -> EvalConfig:
     )
 
 
-def _fmt(value):
+def csv_value(value):
+    """A CSV cell: "" for None, true/false for a bool, repr for a float; both CSV writers use it."""
     if value is None:
         return ""
     if isinstance(value, bool):
@@ -263,6 +264,6 @@ def run_evaluation(config: EvalConfig) -> dict:
         writer = csv.DictWriter(fh, fieldnames=RESULTS_FIELDS)
         writer.writeheader()
         for row in csv_rows:
-            writer.writerow({k: _fmt(v) for k, v in row.items()})
+            writer.writerow({k: csv_value(v) for k, v in row.items()})
     write_json(summary_path, summary)
     return summary

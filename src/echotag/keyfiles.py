@@ -98,18 +98,21 @@ class JsonFields:
     """Checked reads of one JSON object's fields.
 
     A field that is missing with no default, or that fails its test, adds a
-    problem (prefixed with `label`) and reads as None.
+    problem (prefixed with `label`) and reads as None. `check_unread` adds one
+    for each field that no read asked for, here and in every child.
     """
 
     def __init__(self, raw: dict, base: str = "", problems: list | None = None, label: str = ""):
         self.raw, self.base, self.label = raw, base, label
         self.problems = [] if problems is None else problems
+        self.read, self.children = set(), []
 
     def problem(self, message: str) -> None:
         self.problems.append(self.label + message)
 
     def get(self, name: str, kind: Kind, default=_REQUIRED):
         """The field `name` if it passes `kind`'s test, `default` if it is absent, else None."""
+        self.read.add(name)
         if name not in self.raw:
             if default is not _REQUIRED:
                 return default
@@ -127,7 +130,16 @@ class JsonFields:
 
     def child(self, raw: dict, label: str) -> "JsonFields":
         """A reader of the nested object `raw` that shares this reader's problems."""
-        return JsonFields(raw, self.base, self.problems, self.label + label)
+        self.children.append(JsonFields(raw, self.base, self.problems, self.label + label))
+        return self.children[-1]
+
+    def check_unread(self) -> None:
+        """Add a problem for each field of this object and its children that nothing read."""
+        for name in self.raw:
+            if name not in self.read:
+                self.problem(f"unknown field {name!r}")
+        for child in self.children:
+            child.check_unread()
 
     def load_keys(self, name: str):
         """The keys of the key file the path field `name` names; its problems become this file's."""
@@ -146,7 +158,8 @@ def read_fields(path, what: str, version: int):
     """Yield a JsonFields over the JSON object file `path` (a `what`), version checked.
 
     A file that cannot be parsed raises ConfigError at once; otherwise, when the
-    block ends, one ConfigError lists every problem the block's reads found.
+    block ends, one ConfigError lists every problem the block's reads found,
+    a field that no read asked for among them.
     """
     try:
         with open(path, encoding="utf-8") as fh:
@@ -158,6 +171,7 @@ def read_fields(path, what: str, version: int):
     fields = JsonFields(raw, os.path.dirname(os.path.abspath(path)))
     fields.get("version", Kind(repr(version), lambda v: INTEGER.ok(v) and v == version))
     yield fields
+    fields.check_unread()
     if fields.problems:
         raise ConfigError(what, path, fields.problems)
 
@@ -187,6 +201,8 @@ def key_from_dict(d):
     if kind == "spread":
         length = fields.get("length", POSITIVE_INTEGER)
         bits = fields.get("bits", Kind("a hex string", lambda v: isinstance(v, str)))
+    if kind is not None:  # which fields a key of no known type reads is not known
+        fields.check_unread()
     if not fields.problems:
         try:
             if kind == "single":
@@ -241,6 +257,10 @@ def load_pattern_set(path) -> PatternSet:
         patterns = fields.get("patterns", Kind("a list of hex strings", lambda v: (
             isinstance(v, list) and all(isinstance(h, str) for h in v))))
         seed = fields.get("seed", INTEGER)
+        fields.get("count", Kind("the number of patterns", lambda v: INTEGER.ok(v) and (
+            patterns is None or v == len(patterns))))
+        fields.get("generator", Kind(repr(PATTERN_GENERATOR_VERSION), lambda v: (
+            INTEGER.ok(v) and v == PATTERN_GENERATOR_VERSION)))
         distances = fields.get("distance_matrix", Kind("a matrix of integers", lambda v: isinstance(v, list)))
         fields.get("converged", Kind("true", lambda v: v is True), True)
         pattern_set = None

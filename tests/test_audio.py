@@ -308,14 +308,14 @@ def _evaluate_three_rows(output_dir, monkeypatch, z=9.0):
 
 
 def _results_csv_failing_mid_write(target, monkeypatch):
-    calls, fmt = itertools.count(), evalrun._fmt
+    calls, fmt = itertools.count(), evalrun.csv_value
 
     def fmt_then_fail(value):  # fails halfway through the second row
         if next(calls) == 3 * len(evalrun.RESULTS_FIELDS) // 2:
             raise OSError("No space left on device")
         return fmt(value)
 
-    monkeypatch.setattr(evalrun, "_fmt", fmt_then_fail)
+    monkeypatch.setattr(evalrun, "csv_value", fmt_then_fail)
     _evaluate_three_rows(target.parent, monkeypatch)
 
 

@@ -137,6 +137,7 @@ class TestEmbedDetect:
         lines = capsys.readouterr().out.strip().splitlines()
         assert lines[0].split(",")[:2] == ["clip_id", "key_id"]
         assert len(lines) == 2
+        assert lines[1].split(",")[-1] == "false"  # spelled as results.csv spells it
 
     def test_report_format_checked_before_detecting(self, keyfile, carrier_wav, capsys,
                                                     monkeypatch):
@@ -269,19 +270,19 @@ class TestEmbedDetect:
         assert run_cli("detect", "--in", tagged, "--key-file", keyfile, "--key", "echo75") == 0
         assert json.loads(capsys.readouterr().out)["argmax_lag"] == 75
 
-    def test_no_resample_keeps_the_native_rate(self, tmp_path, keyfile, capsys):
+    def test_native_sample_rate_keeps_the_file_rate(self, tmp_path, keyfile, capsys):
         hi = save_noise(tmp_path / "hi.wav", 48000)
         tagged = tmp_path / "tagged.wav"
-        assert run_cli("embed", "--no-resample", "--in", hi, "--out", tagged,
+        assert run_cli("embed", "--sample-rate", "native", "--in", hi, "--out", tagged,
                        "--key-file", keyfile, "--key", "echo75") == 0
         assert load_audio(tagged).sample_rate == 48000
         capsys.readouterr()
         lags = {}
-        for flags in (["--no-resample"], []):
+        for flags in (["--sample-rate", "native"], []):
             assert run_cli("detect", *flags, "--in", tagged, "--key-file", keyfile, "--key", "echo75") == 0
             lags[tuple(flags)] = json.loads(capsys.readouterr().out)["argmax_lag"]
         # resampled to 44.1 kHz, the echo moves to 75 * 44100 / 48000 = 68.9 samples
-        assert lags == {("--no-resample",): 75, (): 69}
+        assert lags == {("--sample-rate", "native"): 75, (): 69}
 
     def test_sample_rate_sets_the_canonical_rate(self, tmp_path, keyfile, carrier_wav):
         tagged = tmp_path / "tagged.wav"
@@ -348,13 +349,14 @@ class TestTagDataset:
             assert f"argument --jobs: must be at least 1, got {jobs}" in capsys.readouterr().err
             assert not (tmp_path / "out").exists()
 
-    def test_resample_false_keeps_the_native_rate(self, tmp_path, keyfile, capsys):
+    def test_native_sample_rate_keeps_the_file_rate(self, tmp_path, keyfile, capsys):
         os.makedirs(tmp_path / "in")
         save_noise(tmp_path / "in" / "hi.wav", 48000, seconds=3.0)
-        entries = [{"input": "hi.wav", "key": "echo75"}]
-        assert run_cli("tag-dataset", "--manifest",
-                       self._write_manifest(tmp_path, keyfile, entries, resample=False)) == 0
+        manifest = self._write_manifest(tmp_path, keyfile, [{"input": "hi.wav", "key": "echo75"}])
+        assert run_cli("tag-dataset", "--sample-rate", "native", "--manifest", manifest) == 0
         assert load_audio(tmp_path / "out" / "hi.wav").sample_rate == 48000
+        lock = json.loads((tmp_path / "out" / "tag_lock.json").read_text())
+        assert list(lock["outputs"]) == [str(tmp_path / "out" / "hi.wav")]
 
     def test_output_collision_rejected_before_writes(self, tmp_path, keyfile, capsys):
         self._make_corpus(tmp_path, ["a.wav"])
@@ -372,7 +374,10 @@ class TestTagDataset:
         for overrides, expected in (
             ({"entries": [1]}, "'entries' must be a list of JSON objects, got [1]"),
             ({"entries": [entry], "base_input_dir": 5}, "'base_input_dir' must be a directory path, got 5"),
-            ({"entries": [entry], "resample": "true"}, "'resample' must be a boolean, got 'true'"),
+            ({"entries": [entry], "resample": False}, "'resample' must be left out (tag-dataset --sample-rate "
+                                                      "native keeps each file's own rate), got False"),
+            ({"entries": [entry], "resampel": True}, "unknown field 'resampel'"),
+            ({"entries": [{**entry, "outptu_dir": "x"}]}, "entry 0: unknown field 'outptu_dir'"),
         ):
             manifest = self._write_manifest(tmp_path, keyfile, **overrides)
             assert run_cli("tag-dataset", "--manifest", manifest) == 1
@@ -860,6 +865,9 @@ REFUSED_ARGUMENTS = {
            ("--format", "csv", ["payload decode"]),
            ("--format", "json", ["evaluate"]))
        for command in commands},
+    # the flag that --sample-rate native replaced
+    **{f"no-resample-{command}": (command, [], ["--no-resample"], "unrecognized arguments: --no-resample")
+       for command in ("embed", "detect")},
     # the spellings from before each flag moved onto its command
     **{f"moved-{flag[2:]}-{command}": (command, [flag, value], [],
                                        f"argument {flag}: goes after the command name, not before it")
@@ -997,4 +1005,14 @@ def test_sample_rate_must_be_positive(tmp_path, keyfile, carrier_wav, capsys, co
     assert run_cli(*argv, "--sample-rate", rate) == 1
     assert capsys.readouterr().err.splitlines() == [
         f"echotag: error: argument --sample-rate: must be at least 1, got {rate}"]
+    assert sorted(tmp_path.rglob("*")) == before
+
+
+@pytest.mark.parametrize("command", sorted(SAMPLE_RATE_COMMANDS))
+def test_sample_rate_is_an_integer_or_native(tmp_path, keyfile, carrier_wav, capsys, command):
+    argv = SAMPLE_RATE_COMMANDS[command](tmp_path, keyfile, carrier_wav)
+    before = sorted(tmp_path.rglob("*"))
+    assert run_cli(*argv, "--sample-rate", "natve") == 1
+    assert capsys.readouterr().err.splitlines() == [
+        "echotag: error: argument --sample-rate: must be a positive integer or 'native', got 'natve'"]
     assert sorted(tmp_path.rglob("*")) == before

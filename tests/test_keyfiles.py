@@ -144,9 +144,19 @@ class TestPatternSetFiles:
     def test_fewer_than_two_patterns_refused(self, tmp_path, count):
         document = self._document(tmp_path, generate_pattern_set(4, 64, 1))
         document["patterns"] = document["patterns"][:count]
+        document["count"] = count
         document["distance_matrix"] = [row[:count] for row in document["distance_matrix"][:count]]
         problems = self._problems(tmp_path, document)
         assert problems == [f"a pattern set needs at least 2 patterns, got {count}"]
+
+    @pytest.mark.parametrize("field, value, problem", [
+        ("count", 99, "'count' must be the number of patterns, got 99"),
+        ("generator", 7, "'generator' must be 1, got 7"),
+    ])
+    def test_header_must_match_the_file(self, tmp_path, field, value, problem):
+        document = self._document(tmp_path, generate_pattern_set(4, 64, 1))
+        document[field] = value
+        assert self._problems(tmp_path, document) == [problem]
 
     def test_converged_false_refused(self, tmp_path):
         ps = generate_pattern_set(4, 64, 1)
@@ -165,7 +175,7 @@ class TestPatternSetFiles:
 # relative to the directory that holds all four files.
 MANIFEST = {
     "version": 1, "key_file": "keys.json", "base_input_dir": ".", "base_output_dir": "out",
-    "overwrite": False, "resample": True, "format": "float32",
+    "overwrite": False, "format": "float32",
     "entries": [{"input": "*.wav", "key": "echo75", "output_dir": "tagged"}],
 }
 # one stage of each channel kind
@@ -260,12 +270,7 @@ def test_one_bad_field_loads_or_raises_config_error(valid_files, name, path, val
         apply_channel([noise_clip(0, seconds=0.1)], loaded.channel)
 
 
-# the pattern-set loader does not read these two header fields
-UNREAD_FIELDS = (("patterns", ("count",)), ("patterns", ("generator",)))
-
-
-@pytest.mark.parametrize("name, path", [c for c in FIELD_CASES if c not in UNREAD_FIELDS],
-                         ids=_case_id)
+@pytest.mark.parametrize("name, path", FIELD_CASES, ids=_case_id)
 def test_true_loads_only_where_a_boolean_is_valid(valid_files, name, path):
     # JSON true is a Python int: a numeric field must still reject it
     root, files = valid_files
@@ -276,3 +281,34 @@ def test_true_loads_only_where_a_boolean_is_valid(valid_files, name, path):
     else:
         with pytest.raises(ConfigError):
             loader(mutated)
+
+
+def _objects(document, path=()):
+    """The path of every JSON object in `document` whose field names the loader
+    fixes: all but a key file's "keys" object, whose names are the user's."""
+    if isinstance(document, dict) and path != ("keys",):
+        yield path
+    for step, value in (document.items() if isinstance(document, dict) else enumerate(document)):
+        if isinstance(value, (dict, list)):
+            yield from _objects(value, (*path, step))
+
+
+# file -> how many objects _objects finds in its valid document
+OBJECT_COUNTS = {"keys": 3, "patterns": 1, "manifest": 2, "config": 7}
+
+
+@pytest.mark.parametrize("name", sorted(OBJECT_COUNTS))
+def test_a_field_nobody_reads_is_refused_by_name(valid_files, name):
+    root, files = valid_files
+    loader, document = files[name]
+    paths = list(_objects(document))
+    assert len(paths) == OBJECT_COUNTS[name]
+    for path in paths:
+        edited = copy.deepcopy(document)
+        target = edited
+        for step in path:
+            target = target[step]
+        target["unread_field"] = 1
+        (root / f"{name}-unread.json").write_text(json.dumps(edited))
+        with pytest.raises(ConfigError, match="'unread_field'"):
+            loader(root / f"{name}-unread.json")
