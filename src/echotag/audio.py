@@ -4,8 +4,9 @@ Everything downstream works on `AudioClip`: a mono float64 buffer plus its
 sample rate. Files of any supported bit depth are converted to that canonical
 form on load so cepstra are never quantization-limited. Every file echotag
 writes goes through `atomic_output`, so no output is ever left half-written.
-scipy is imported inside the functions that call it: `scipy.signal` alone
-takes most of a second to import, and most commands never resample.
+scipy is imported inside the functions that call it: `scipy.signal`, which
+only resampling uses, alone takes most of a second to import, and most
+commands never resample.
 """
 
 from __future__ import annotations

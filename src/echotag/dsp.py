@@ -6,8 +6,8 @@ lag d shows up as a peak at quefrency d (and its mirror N-d). With `lags`,
 real_cepstrum computes only the lags a caller reads, with no inverse FFT:
 single-echo detection's band and the payload decoder's two lags. Spread
 detection and the bit-flip curve take the whole inverse.
-`scipy.signal` is imported inside convolve, its one caller here, so that
-commands which never convolve do not pay its import time.
+Everything here runs on numpy alone: convolve is an overlap-add of numpy
+FFTs, so spread embedding loads no `scipy.signal`.
 """
 
 from __future__ import annotations
@@ -18,6 +18,9 @@ import numpy as np
 
 from .audio import AudioClip
 
+# samples per group of convolve's blocks, and per block of the echo add and the
+# payload codec: temporaries stay a few MB at any length
+MIX_BLOCK = 1 << 16
 # magnitude floor applied before the log so silent or band-limited input
 # yields a finite cepstrum
 SPECTRAL_FLOOR = 1e-12
@@ -92,15 +95,38 @@ def _cepstrum_at(magnitude: np.ndarray, n: int, lags: np.ndarray) -> np.ndarray:
 def convolve(clip: AudioClip, kernel) -> AudioClip:
     """Full linear convolution of a clip with a kernel, by overlap-add FFT.
 
-    Output length is len(clip) + len(kernel) - 1 at the clip's rate.
+    Output length is len(clip) + len(kernel) - 1 at the clip's rate. For K
+    taps the FFT length is the smallest power of two >= 8K, and each block
+    takes step = FFT length - K + 1 >= 7K + 1 samples, so a block's tail of
+    K - 1 samples reaches only the next block: each output sample is a
+    block's body plus at most one tail, both added to zeros, whatever the
+    grouping. Blocks are transformed in groups of about MIX_BLOCK samples, so
+    besides the output (len(clip) + K - 1 + step samples at most)
+    temporaries stay a few MB at any clip length.
     """
-    import scipy.signal
-
     kernel = np.asarray(kernel, dtype=np.float64)
     if kernel.ndim != 1 or kernel.size < 1:
         raise ValueError("kernel must be a non-empty 1-D sequence")
-    y = scipy.signal.oaconvolve(clip.samples, kernel, mode="full")
-    return AudioClip(y, clip.sample_rate)
+    x, k = clip.samples, kernel.size
+    nfft = 1 << (8 * k - 1).bit_length()
+    step = nfft - k + 1
+    response = np.fft.rfft(kernel, nfft)
+    blocks = -(-x.size // step)
+    y = np.zeros(blocks * step + k - 1)
+    group = max(1, MIX_BLOCK // step)
+    for first in range(0, blocks, group):
+        rows = min(group, blocks - first)
+        lo, hi = first * step, (first + rows) * step
+        chunk = x[lo:hi]
+        if chunk.size < hi - lo:  # the last block, zero-padded
+            chunk = np.concatenate((chunk, np.zeros(hi - lo - chunk.size)))
+        spectrum = np.fft.rfft(chunk.reshape(rows, step), nfft)
+        spectrum *= response
+        out = np.fft.irfft(spectrum, nfft)
+        y[lo:hi].reshape(rows, step)[...] += out[:, :step]
+        y[lo + step : hi].reshape(rows - 1, step)[:, : k - 1] += out[:-1, step:]
+        y[hi : hi + k - 1] += out[-1, step:]
+    return AudioClip(y[: x.size + k - 1], clip.sample_rate)
 
 
 def cross_correlate(cepstrum, template) -> np.ndarray:

@@ -13,13 +13,11 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .audio import AudioClip
-from .dsp import convolve
+from .dsp import MIX_BLOCK, convolve
 
 DEFAULT_SINGLE_ALPHA = 0.4
 DEFAULT_SPREAD_ALPHA = 0.01
 DEFAULT_SPREAD_DELTA = 75
-# samples per block of the echo add and the payload codec: temporaries stay a few MB at any length
-MIX_BLOCK = 1 << 16
 
 
 @dataclass(frozen=True)

@@ -136,10 +136,9 @@ def _rms(x: np.ndarray) -> float:
     return float(np.sqrt(np.mean(x**2)))
 
 
-def _plus_noise(clip: AudioClip, noise: np.ndarray, snr_db: float) -> AudioClip:
-    """clip plus noise scaled to sit snr_db below the clip's RMS."""
+def _plus_noise(clip: AudioClip, noise: np.ndarray, measured: float, snr_db: float) -> AudioClip:
+    """clip plus noise, whose RMS is `measured`, scaled to sit snr_db below the clip's RMS."""
     target = _rms(clip.samples) * 10.0 ** (-snr_db / 20.0)
-    measured = _rms(noise)
     samples = clip.samples + (noise * (target / measured) if measured else noise)
     return AudioClip(samples, clip.sample_rate)
 
@@ -163,7 +162,8 @@ def apply_channel(clips, spec: ChannelSpec, salt: int = 0) -> list:
         rng = np.random.default_rng([stage.seed, stage_salt, 11])
         if stage.kind == "additive_noise":
             noise = rng.standard_normal(len(out[0]))
-            out = [_plus_noise(clip, noise, stage.snr_db) for clip in out]
+            measured = _rms(noise)
+            out = [_plus_noise(clip, noise, measured, stage.snr_db) for clip in out]
         elif stage.kind == "random_resample" and rng.random() < stage.probability:
             factor = rng.uniform(stage.low, stage.high)
             out = [_pitch_shift(clip, factor) for clip in out]

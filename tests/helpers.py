@@ -1,5 +1,5 @@
-"""Shared test utilities: seeded signal factories, a small music synth, and
-the loop versions that vectorized code is checked against: the scalar
+"""Shared test utilities: seeded signal factories, a small music synth, a
+tracemalloc peak probe, and the loop versions that vectorized code is checked against: the scalar
 exclusion z-score for zscore_profile, scipy's correlation for
 cross_correlate, the per-window and whole-clip payload decoders
 for decode_payload, the whole-clip envelope and mix for the blockwise
@@ -15,6 +15,8 @@ channel's stages that harness's one stage walk replaced.
 The synthetic music clips stand in for real corpus material: bass, chords,
 melody and percussion with per-note envelopes, deterministic per seed.
 """
+
+import tracemalloc
 
 import numpy as np
 import scipy.signal
@@ -314,3 +316,13 @@ def music_clip(seed, seconds=10.0, rate=SR):
         pos += beat
         hit_index += 1
     return AudioClip(0.5 * out / np.abs(out).max(), rate)
+
+
+def traced_peak(function, *args) -> int:
+    """Peak bytes tracemalloc sees allocated during function(*args)."""
+    tracemalloc.start()
+    try:
+        function(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()

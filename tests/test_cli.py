@@ -975,6 +975,11 @@ def test_commands_import_only_what_they_run(tmp_path, keyfile, carrier_wav):
         ("--help", ["--help"]),
         ("detect", ["detect", "--in", str(carrier_wav), "--key-file", str(keyfile), "--key", "echo75"]),
         ("spread detect", ["detect", "--in", str(carrier_wav), "--key-file", str(keyfile), "--key", "pn0"]),
+        ("spread embed", ["embed", "--in", str(carrier_wav), "--out", str(tmp_path / "s.wav"),
+                          "--key-file", str(keyfile), "--key", "pn0"]),
+        ("spread tag-dataset", ["tag-dataset", "--manifest", str(_write_json(tmp_path / "manifest.json", {
+            "version": 1, "key_file": str(keyfile), "base_output_dir": str(tmp_path / "tagged"),
+            "entries": [{"input": str(carrier_wav), "key": "pn0"}]}))]),
         ("payload encode", ["payload", "encode", "--in", str(carrier_wav), "--out", str(tmp_path / "p.wav"),
                             "--bits", "a5", "--n-bits", "8"]),
         ("payload decode", ["payload", "decode", "--in", str(tmp_path / "p.wav"), "--n-bits", "8"]),
@@ -987,7 +992,8 @@ def test_commands_import_only_what_they_run(tmp_path, keyfile, carrier_wav):
     assert list(loaded) == ["import", *(step for step, _ in steps)]
     for step in ("import", "gen-patterns", "--help"):
         assert loaded[step] == [], step
-    for step in ("detect", "spread detect", "payload encode", "payload decode"):
+    for step in ("detect", "spread detect", "spread embed", "spread tag-dataset",
+                 "payload encode", "payload decode"):
         assert isinstance(loaded[step], list), (step, loaded[step])
         assert not [m for m in loaded[step] if m == "scipy.signal" or m.startswith("scipy.signal.")], step
     assert "scipy.io.wavfile" in loaded["detect"]

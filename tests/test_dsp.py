@@ -5,6 +5,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from echotag import AudioClip, SpreadKey, convolve, cross_correlate, enhance_correlation, real_cepstrum
+from echotag.dsp import MIX_BLOCK
 from helpers import SR, fft_convolve, noise_clip, scipy_correlate
 
 # (delta, pattern length) of a spread kernel of 12-1,100 taps
@@ -234,6 +235,40 @@ class TestConvolve:
         oracle = fft_convolve(x, kernel)
         assert out.size == oracle.size == n + delta + length - 1
         assert np.max(np.abs(out - oracle)) <= 1e-12 * np.max(np.abs(oracle))
+
+
+def overlap_add_step(k):
+    """convolve's block step for a k-tap kernel: the smallest power of two >= 8k, less k - 1."""
+    nfft = 1
+    while nfft < 8 * k:
+        nfft *= 2
+    return nfft - k + 1
+
+
+class TestOverlapAddBlocks:
+    # 1 and 2 taps, eval-spread's 1,099-tap kernel and the longest spread kernel (L = 8,192, delta = 75)
+    @settings(max_examples=20, deadline=None)
+    @given(
+        k=st.sampled_from([1, 2, 1_099, 8_267]),
+        unit=st.sampled_from(["step", "group"]),
+        multiple=st.integers(min_value=1, max_value=3),
+        offset=st.sampled_from([-1, 0, 1]),
+        seed=st.integers(min_value=0, max_value=2**31),
+    )
+    @example(k=1, unit="step", multiple=1, offset=-1, seed=0)  # a 7-sample clip, one partial block
+    @example(k=2, unit="group", multiple=1, offset=1, seed=0)  # one sample into a second group
+    @example(k=1_099, unit="group", multiple=3, offset=-1, seed=0)
+    @example(k=8_267, unit="step", multiple=3, offset=1, seed=0)  # one block per group
+    def test_equals_direct_at_block_and_group_edges(self, k, unit, multiple, offset, seed):
+        step = overlap_add_step(k)
+        n = multiple * (step if unit == "step" else max(1, MIX_BLOCK // step) * step) + offset
+        rng = np.random.default_rng(seed)
+        x = rng.standard_normal(n)
+        h = rng.standard_normal(k)
+        out = convolve(AudioClip(x, SR), h).samples
+        direct = np.convolve(x, h)
+        assert out.size == direct.size == n + k - 1
+        assert np.max(np.abs(out - direct)) <= 1e-12 * np.max(np.abs(direct))
 
 
 class TestCrossCorrelate:

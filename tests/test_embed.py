@@ -15,7 +15,7 @@ from echotag import (
     real_cepstrum,
 )
 from echotag.embed import MIX_BLOCK, scaled_key
-from helpers import SR, embed_single_echo_whole_clip, noise_clip, single_echo_kernel
+from helpers import SR, embed_single_echo_whole_clip, noise_clip, single_echo_kernel, traced_peak
 
 
 class TestKeys:
@@ -169,6 +169,12 @@ class TestEmbedSpread:
         perturbation = out.samples - clip.samples
         rms = lambda v: np.sqrt(np.mean(v**2))
         assert rms(perturbation) <= key.alpha * np.sqrt(key.length) * rms(clip.samples)
+
+    def test_60s_clip_peaks_near_one_clip_size(self):
+        clip = noise_clip(95, seconds=60.0)
+        key = SpreadKey(generate_pattern(1024, 95))
+        # the output clip, its finiteness check, and one group of blocks' FFT temporaries
+        assert traced_peak(embed_spread, clip, key) <= 1.5 * clip.samples.nbytes + 4 * 2**20
 
     def test_spread_snr_measured_on_music(self, music_corpus):
         # imperceptibility proxy: measured and recorded, deliberately not a

@@ -1,5 +1,3 @@
-import tracemalloc
-
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -22,17 +20,8 @@ from helpers import (
     encode_payload_whole_clip,
     music_clip,
     noise_clip,
+    traced_peak,
 )
-
-
-def _traced_peak(function, *args) -> int:
-    """Peak bytes tracemalloc sees allocated during function(*args)."""
-    tracemalloc.start()
-    try:
-        function(*args)
-        return tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
 
 
 class TestPayloadConfig:
@@ -127,7 +116,7 @@ class TestEncodeMatchesWholeClipMix:
         config = PayloadConfig()
         clip = noise_clip(94, seconds=60.0)
         bits = np.random.default_rng(94).integers(0, 2, size=capacity_bits(len(clip), config))
-        peak = _traced_peak(encode_payload, clip, bits, config)
+        peak = traced_peak(encode_payload, clip, bits, config)
         # the output clip, and one block's two echoed slices and mix temporaries
         assert peak <= clip.samples.nbytes + 4 * 2**20
 
@@ -288,4 +277,4 @@ class TestDecodeMatchesWholeClip:
     def test_60s_decode_peaks_under_4_mib(self):
         config = PayloadConfig()
         clip = noise_clip(96, seconds=60.0)
-        assert _traced_peak(decode_payload, clip, config, capacity_bits(len(clip), config)) <= 4 * 2**20
+        assert traced_peak(decode_payload, clip, config, capacity_bits(len(clip), config)) <= 4 * 2**20

@@ -73,6 +73,8 @@ def commands(inputs, work_dir: str) -> dict:
         "payload decode": ["payload", "decode", "--in", inputs.payload_out,
                            "--n-bits", str(inputs.payload_bits)],
         "spread detect": detect + ["pn0"],
+        "spread embed": ["embed", "--in", clip, "--out", os.path.join(work_dir, "spread.wav"),
+                         "--key-file", inputs.key_file, "--key", "pn0"],
     }
 
 
