@@ -24,6 +24,11 @@ import numpy as np
 log = logging.getLogger(__name__)
 
 DEFAULT_SAMPLE_RATE = 44100
+# the formats save_audio writes
+AUDIO_FORMATS = ("pcm16", "float32")
+# what load_audio divides each sample type by (None: float, left as read); scipy
+# returns 24-bit PCM upshifted into int32, so 2^31 scales both
+_FULL_SCALE = {"int16": 2.0**15, "int32": 2.0**31, "float32": None, "float64": None}
 
 # resampler design: windowed-sinc polyphase, Kaiser window
 RESAMPLE_TAPS_PER_PHASE = 64
@@ -68,8 +73,9 @@ class AudioClip:
 def load_audio(path) -> AudioClip:
     """Read a RIFF/WAVE file as a mono AudioClip at the file's native rate.
 
-    Supports 16/24-bit PCM and 32/64-bit IEEE float data, 1..8 channels.
-    Channels are averaged with equal weights; integer samples are scaled to
+    Supports 16/24-bit PCM and 32/64-bit IEEE float data, 1..8 channels; any
+    other sample type is refused. Channels are averaged with equal weights in
+    float64, and integer samples, of any channel count, then scaled to
     [-1, 1) by dividing by 2^(bits-1). Extra chunks (LIST, bext, ...) are
     skipped.
     """
@@ -84,19 +90,14 @@ def load_audio(path) -> AudioClip:
             raise ValueError(f"unsupported or compressed WAV file {path!r}: {exc}") from exc
     if data.size == 0:
         raise ValueError(f"zero-length audio in {path!r}")
+    if data.dtype.name not in _FULL_SCALE:
+        raise ValueError(f"unsupported WAV sample format {data.dtype} in {path!r}")
+    scale = _FULL_SCALE[data.dtype.name]
     if data.ndim == 2:
         if data.shape[1] > 8:
             raise ValueError(f"{path!r} has {data.shape[1]} channels; at most 8 supported")
         data = data.mean(axis=1, dtype=np.float64)
-    if data.dtype == np.int16:
-        samples = data / 32768.0
-    elif data.dtype == np.int32:
-        # scipy returns 24-bit PCM upshifted into int32, so 2^31 scales both
-        samples = data / 2147483648.0
-    elif data.dtype in (np.float32, np.float64):
-        samples = data.astype(np.float64)
-    else:
-        raise ValueError(f"unsupported WAV sample format {data.dtype} in {path!r}")
+    samples = data.astype(np.float64) if scale is None else data / scale
     try:
         return AudioClip(samples, rate)
     except ValueError as exc:  # non-finite samples or a zero rate
@@ -122,7 +123,7 @@ def save_audio(clip: AudioClip, path, format: str = "float32") -> int:
     elif format == "float32":
         data = clip.samples.astype(np.float32)
     else:
-        raise ValueError(f"unknown output format {format!r} (expected 'pcm16' or 'float32')")
+        raise ValueError(f"unknown output format {format!r} (expected {' or '.join(map(repr, AUDIO_FORMATS))})")
     with atomic_output(path, "wb") as fh:
         scipy.io.wavfile.write(fh, clip.sample_rate, data)
     return clipped

@@ -45,7 +45,7 @@ import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
 
-from .audio import DEFAULT_SAMPLE_RATE, load_audio, resample, save_audio
+from .audio import AUDIO_FORMATS, DEFAULT_SAMPLE_RATE, load_audio, resample, save_audio
 from .detect import DEFAULT_SINGLE_ECHO_BAND, detect_single_echo, detect_spread, scoring_length
 from .embed import SpreadKey, embed
 from .evalrun import csv_value, load_eval_config, run_evaluation
@@ -69,8 +69,7 @@ log = logging.getLogger(__name__)
 
 MANIFEST_VERSION = 1
 LOCKFILE_NAME = "tag_lock.json"
-AUDIO_FORMATS = ("pcm16", "float32")
-AUDIO_FORMAT = Kind("'pcm16' or 'float32'", lambda v: v in AUDIO_FORMATS)
+AUDIO_FORMAT = Kind(" or ".join(map(repr, AUDIO_FORMATS)), lambda v: v in AUDIO_FORMATS)
 ENTRIES = Kind("a list of JSON objects",
                lambda v: isinstance(v, list) and all(isinstance(e, dict) for e in v))
 GONE_RESAMPLE = Kind("left out (tag-dataset --sample-rate native keeps each file's own rate)", lambda v: False)

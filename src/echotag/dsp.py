@@ -96,7 +96,8 @@ def convolve(clip: AudioClip, kernel) -> AudioClip:
     """Full linear convolution of a clip with a kernel, by overlap-add FFT.
 
     Output length is len(clip) + len(kernel) - 1 at the clip's rate. For K
-    taps the FFT length is the smallest power of two >= 8K, and each block
+    taps and N samples the FFT length is the smallest power of two >=
+    min(8K, N + K - 1): a clip that short is one block. Otherwise each block
     takes step = FFT length - K + 1 >= 7K + 1 samples, so a block's tail of
     K - 1 samples reaches only the next block: each output sample is a
     block's body plus at most one tail, both added to zeros, whatever the
@@ -108,7 +109,7 @@ def convolve(clip: AudioClip, kernel) -> AudioClip:
     if kernel.ndim != 1 or kernel.size < 1:
         raise ValueError("kernel must be a non-empty 1-D sequence")
     x, k = clip.samples, kernel.size
-    nfft = 1 << (8 * k - 1).bit_length()
+    nfft = 1 << (min(8 * k, x.size + k - 1) - 1).bit_length()
     step = nfft - k + 1
     response = np.fft.rfft(kernel, nfft)
     blocks = -(-x.size // step)
@@ -124,7 +125,8 @@ def convolve(clip: AudioClip, kernel) -> AudioClip:
         spectrum *= response
         out = np.fft.irfft(spectrum, nfft)
         y[lo:hi].reshape(rows, step)[...] += out[:, :step]
-        y[lo + step : hi].reshape(rows - 1, step)[:, : k - 1] += out[:-1, step:]
+        if rows > 1:  # a lone block may be shorter than its tail
+            y[lo + step : hi].reshape(rows - 1, step)[:, : k - 1] += out[:-1, step:]
         y[hi : hi + k - 1] += out[-1, step:]
     return AudioClip(y[: x.size + k - 1], clip.sample_rate)
 

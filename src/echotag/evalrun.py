@@ -6,7 +6,7 @@ cannot be read, or is shorter than a segment), is reported at once in one
 ConfigError, before any output is written. So is a key that no segment length
 can score (`detect.scoring_length`), and a `durations` or `bitflip_duration`
 segment that holds fewer samples than the key needs at a corpus clip's rate,
-as cut (round(seconds * rate)) or after a pitch-shift channel shortens it.
+as harness.segment_length cuts it or after a pitch-shift channel shortens it.
 Outputs are deterministic for a given config: stable row order,
 repr-formatted floats, sorted JSON keys, no timestamps.
 
@@ -43,6 +43,7 @@ from .harness import (
     median_z_by_duration,
     run_bitflip_curve,
     run_duration_sweep,
+    segment_length,
 )
 from .keyfiles import (
     BOOLEAN,
@@ -63,7 +64,7 @@ RESULTS_FIELDS = (
     "segment_index", "flips", "argmax_lag", "z_at_key", "degenerate",
 )
 
-# no WAV clip lasts longer (under 2**32 samples, at 1 Hz or more); round(seconds * rate) stays finite
+# no WAV clip lasts longer (under 2**32 samples, at 1 Hz or more); segment_length stays finite
 MAX_SECONDS = 2**32
 SECONDS = Kind(f"positive seconds, at most {MAX_SECONDS}", lambda v: NUMBER.ok(v) and 0 < v <= MAX_SECONDS)
 DURATIONS = Kind(f"a non-empty list of {SECONDS.want}",
@@ -132,7 +133,7 @@ def load_eval_config(path) -> EvalConfig:
             except (OSError, ValueError) as exc:
                 fields.problem(f"corpus: {exc}")  # load_audio's message names the file
                 continue
-            if round(longest * clip.sample_rate) > len(clip):  # as harness cuts the segment
+            if segment_length(longest, clip.sample_rate) > len(clip):
                 fields.problem(f"corpus clip {clip_path!r} lasts {clip.duration_seconds:.2f}s, "
                                f"shorter than the {longest}s segments it must hold")
             clips.append((os.path.basename(clip_path), clip))
@@ -154,7 +155,7 @@ def load_eval_config(path) -> EvalConfig:
             else:
                 for rate in sorted({clip.sample_rate for _, clip in clips}):
                     for name, seconds in segment_fields:
-                        n = round(seconds * rate)  # as harness cuts the segment
+                        n = segment_length(seconds, rate)
                         m = channel_length_bound(channel, n, rate)
                         if min(n, m) < need:
                             after = f", {m} after the channel" if m < n else ""
@@ -206,7 +207,7 @@ def run_evaluation(config: EvalConfig) -> dict:
         band=config.band,
         include_clean=config.include_clean,
     )
-    csv_rows = [{"experiment": "duration_sweep", "flips": None, **asdict(r)} for r in rows]
+    csv_rows = [{"experiment": "duration_sweep", **asdict(r)} for r in rows]
 
     clean_z = np.array([r.z_at_key for r in rows if r.condition == "clean" and r.z_at_key is not None])
     summary = {
@@ -240,13 +241,10 @@ def run_evaluation(config: EvalConfig) -> dict:
         for flips, roc_result in curve.flip_results:
             csv_rows.append({
                 "experiment": "bitflip_curve",
-                "clip_id": "",
                 "condition": "perturbed",
                 "key_id": key.label,
                 "duration_seconds": config.bitflip_duration,
-                "segment_index": None,
                 "flips": flips,
-                "argmax_lag": None,
                 "z_at_key": roc_result.auroc,
                 "degenerate": False,
             })
@@ -261,7 +259,7 @@ def run_evaluation(config: EvalConfig) -> dict:
     with contextlib.suppress(FileNotFoundError):
         os.remove(summary_path)
     with atomic_output(os.path.join(config.output_dir, "results.csv"), encoding="utf-8", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=RESULTS_FIELDS)
+        writer = csv.DictWriter(fh, fieldnames=RESULTS_FIELDS, restval=csv_value(None))
         writer.writeheader()
         for row in csv_rows:
             writer.writerow({k: csv_value(v) for k, v in row.items()})

@@ -10,16 +10,14 @@ over a channel: depth first, stage i of a composite that runs under salt s
 runs under salt s * _SALT_STRIDE + i, so sibling stages draw apart.
 
 All randomness flows from explicit non-negative seeds; a config run twice
-produces byte-identical reports. The duration sweep and the bit-flip curve
-take every experiment cell (clip x duration x segment), its random segment
-and its noise salt from one generator. One apply_channel call degrades a
-cell's conditions (embedded, and clean unless left out), so they share one
+produces byte-identical reports. _cells cuts, embeds and degrades every
+experiment cell (clip x duration x segment) of both sweeps, which only score.
+One apply_channel call degrades a cell's conditions, so they share one
 channel draw: the same pitch factor and the same noise, scaled to each clip.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 import reprlib
 from dataclasses import dataclass, field
@@ -106,16 +104,22 @@ class ChannelSpec:
 
     @classmethod
     def from_dict(cls, d) -> "ChannelSpec":
-        """The spec a channel object describes; a field its kind does not read is a ValueError."""
+        """The spec a channel object describes; a field its kind does not read is one more problem."""
         if not isinstance(d, dict):
             raise ValueError(f"must be a JSON object, got {reprlib.repr(d)}")
         kind = d.get("kind", "identity")
         if not CHANNEL_KIND.ok(kind):
             return cls(kind=kind)  # raises the ValueError that names the kind
-        unread = [name for name in d if name not in ("kind", "seed", *CHANNEL_FIELDS[kind])]
-        if unread:
-            raise ValueError(f"kind {kind!r} does not read {', '.join(map(repr, unread))}")
-        return cls(**d)
+        reads = ("kind", "seed", *CHANNEL_FIELDS[kind])
+        unread = [name for name in d if name not in reads]
+        problems = [f"kind {kind!r} does not read {', '.join(map(repr, unread))}"] if unread else []
+        try:
+            spec = cls(**{name: d[name] for name in reads if name in d})
+        except ValueError as exc:
+            problems.append(str(exc))
+        if problems:
+            raise ValueError("; ".join(problems))
+        return spec
 
 
 def _stages(spec: ChannelSpec, salt: int = 0):
@@ -242,18 +246,24 @@ class SweepRow:
     degenerate: bool
 
 
-def _cells(corpus, durations, segments_per_clip: int, seed: int):
-    """Yield (clip_id, duration, segment_index, salt, segment) for every
-    experiment cell, in (clip, duration, segment) order.
+def segment_length(seconds: float, rate: int) -> int:
+    """Samples in a segment of `seconds` cut from a clip at `rate`."""
+    return int(round(seconds * rate))
+
+
+def _cells(corpus, key, durations, segments_per_clip, channel, seed, include_clean=True):
+    """Yield (clip_id, duration, segment_index, salt, degraded) for every
+    experiment cell, one at a time, in (clip, duration, segment) order.
 
     The segment starts at a random offset drawn from the rng seeded with
     [seed, clip index, duration index, segment index]; salt is the cell's
-    index in that order.
+    index in that order. degraded: the segment embedded with key (its alpha
+    times echo_alpha_scale) and, if include_clean, the segment, after one channel draw.
     """
-    salt = itertools.count()
+    effective_key = scaled_key(key, echo_alpha_scale(channel))
     for clip_index, (clip_id, clip) in enumerate(corpus):
         for duration_index, duration in enumerate(durations):
-            n = int(round(duration * clip.sample_rate))
+            n = segment_length(duration, clip.sample_rate)
             if n > len(clip):
                 raise ValueError(f"clip of {clip.duration_seconds:.2f}s shorter than "
                                  f"requested {duration}s segment")
@@ -261,7 +271,9 @@ def _cells(corpus, durations, segments_per_clip: int, seed: int):
                 rng = np.random.default_rng([seed, clip_index, duration_index, segment_index])
                 start = int(rng.integers(0, len(clip) - n + 1))
                 segment = AudioClip(clip.samples[start : start + n], clip.sample_rate)
-                yield clip_id, duration, segment_index, next(salt), segment
+                salt = (clip_index * len(durations) + duration_index) * segments_per_clip + segment_index
+                yield clip_id, duration, segment_index, salt, apply_channel(
+                    [embed(segment, effective_key)] + ([segment] if include_clean else []), channel, salt=salt)
 
 
 def run_duration_sweep(corpus, key, durations, segments_per_clip: int,
@@ -271,15 +283,11 @@ def run_duration_sweep(corpus, key, durations, segments_per_clip: int,
 
     corpus is a sequence of (clip_id, AudioClip) pairs; every clip must cover
     the longest duration. Returns long-format SweepRow records, embedded rows
-    first within each cell, ordered by (clip, duration, segment) regardless
-    of execution order.
+    first within each cell, in (clip, duration, segment) order.
     """
-    effective_key = scaled_key(key, echo_alpha_scale(channel))
     rows = []
-    cells = _cells(corpus, durations, segments_per_clip, seed)
-    for clip_id, duration, segment_index, salt, segment in cells:
-        prepared = [embed(segment, effective_key)] + ([segment] if include_clean else [])
-        degraded_conditions = apply_channel(prepared, channel, salt=salt)
+    cells = _cells(corpus, key, durations, segments_per_clip, channel, seed, include_clean)
+    for clip_id, duration, segment_index, _, degraded_conditions in cells:
         for condition, degraded in zip(("embedded", "clean"), degraded_conditions):
             if isinstance(key, EchoKey):
                 report = detect_single_echo(degraded, band=band, key_lag=key.delta)
@@ -329,13 +337,12 @@ def run_bitflip_curve(corpus, spread_key: SpreadKey, flips, channel: ChannelSpec
     """
     if max(flips, default=0) > spread_key.length:
         raise ValueError(f"flip counts must be <= pattern length {spread_key.length}")
-    effective_key = scaled_key(spread_key, echo_alpha_scale(channel))
     template, delta = spread_key.template, spread_key.delta
     true_scores = []
     clean_scores = []
     false_scores = {k: [] for k in flips}
-    for _, _, _, salt, segment in _cells(corpus, [duration_seconds], segments_per_clip, seed):
-        embedded, clean = apply_channel([embed(segment, effective_key), segment], channel, salt=salt)
+    for _, _, _, salt, (embedded, clean) in _cells(corpus, spread_key, [duration_seconds],
+                                                   segments_per_clip, channel, seed):
         c_embedded = real_cepstrum(embedded)
         c_clean = real_cepstrum(clean)
         true_scores.append(spread_profile(c_embedded, template, delta).z_at(delta))

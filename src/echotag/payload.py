@@ -16,8 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .audio import AudioClip
-from .dsp import real_cepstrum
-from .embed import MIX_BLOCK, EchoKey, add_echo, embed_single_echo
+from .dsp import MIX_BLOCK, real_cepstrum
+from .embed import EchoKey, add_echo, embed_single_echo
 
 MAX_PAYLOAD_DELTA = 125
 

@@ -46,6 +46,39 @@ class TestLoadSave:
         clip = load_audio(path)
         assert np.all(clip.samples == 0.0)
 
+    def test_stereo_pcm16_scaled_to_full_scale(self, tmp_path):
+        path = tmp_path / "stereo16.wav"
+        data = np.array([[1000, 4963], [-32768, -32768], [32767, 1], [-7, 12345]], np.int16)
+        scipy.io.wavfile.write(path, SR, data)
+        clip = load_audio(path)
+        assert np.array_equal(clip.samples, np.mean(data / 2.0**15, axis=1))
+        assert clip.samples[0] == 5963 / 65536  # 0.0910 of full scale
+        assert clip.samples[1] == -1.0
+
+    def test_stereo_pcm24_scaled_to_full_scale(self, tmp_path):
+        path = tmp_path / "stereo24.wav"
+        values = np.array([[-2**23, 2**22], [2**23 - 1, 3], [-5, 123457]])
+        frames = b"".join(int(v).to_bytes(3, "little", signed=True) for v in values.ravel())
+        header = (
+            b"RIFF" + (36 + len(frames)).to_bytes(4, "little") + b"WAVE"
+            + b"fmt " + (16).to_bytes(4, "little")
+            + (1).to_bytes(2, "little") + (2).to_bytes(2, "little")
+            + SR.to_bytes(4, "little") + (SR * 6).to_bytes(4, "little")
+            + (6).to_bytes(2, "little") + (24).to_bytes(2, "little")
+            + b"data" + len(frames).to_bytes(4, "little") + frames
+        )
+        path.write_bytes(header)
+        clip = load_audio(path)
+        assert np.array_equal(clip.samples, np.mean(values / 2.0**23, axis=1))
+        assert clip.samples[0] == -0.25
+
+    def test_stereo_uint8_refused_as_mono_is(self, tmp_path):
+        for channels in (1, 2):
+            path = tmp_path / f"u8x{channels}.wav"
+            scipy.io.wavfile.write(path, SR, np.full((4, channels), 200, np.uint8).squeeze())
+            with pytest.raises(ValueError, match=r"unsupported WAV sample format uint8 in .*u8x"):
+                load_audio(path)
+
     def test_zero_length_audio_rejected(self, tmp_path):
         path = tmp_path / "empty.wav"
         header = (

@@ -250,7 +250,7 @@ class TestOverlapAddBlocks:
     @settings(max_examples=20, deadline=None)
     @given(
         k=st.sampled_from([1, 2, 1_099, 8_267]),
-        unit=st.sampled_from(["step", "group"]),
+        unit=st.sampled_from(["step", "group", "short"]),
         multiple=st.integers(min_value=1, max_value=3),
         offset=st.sampled_from([-1, 0, 1]),
         seed=st.integers(min_value=0, max_value=2**31),
@@ -259,9 +259,14 @@ class TestOverlapAddBlocks:
     @example(k=2, unit="group", multiple=1, offset=1, seed=0)  # one sample into a second group
     @example(k=1_099, unit="group", multiple=3, offset=-1, seed=0)
     @example(k=8_267, unit="step", multiple=3, offset=1, seed=0)  # one block per group
+    @example(k=1, unit="short", multiple=1, offset=-1, seed=0)  # a 1-sample clip
+    @example(k=8_267, unit="short", multiple=1, offset=1, seed=0)  # 4,134 samples, one 16,384-point block
     def test_equals_direct_at_block_and_group_edges(self, k, unit, multiple, offset, seed):
         step = overlap_add_step(k)
-        n = multiple * (step if unit == "step" else max(1, MIX_BLOCK // step) * step) + offset
+        if unit == "short":  # under one step, where N + K - 1 sets the FFT length
+            n = max(1, multiple * k // 2 + offset)
+        else:
+            n = multiple * (step if unit == "step" else max(1, MIX_BLOCK // step) * step) + offset
         rng = np.random.default_rng(seed)
         x = rng.standard_normal(n)
         h = rng.standard_normal(k)

@@ -105,12 +105,16 @@ class TestChannelSpec:
                 {"kind": "random_resample", "low": 1.5, "high": 1.0},
                 {"kind": "identity", "snr_db": 10.0},
                 7,
+                {"kind": "additive_noise", "snr_db": "x", "foo": 1},
             ]})
         message = str(info.value)
         assert "'seed' must be a non-negative integer, got -1" in message
         assert "stage 0: low 1.5 exceeds high 1.0" in message
         assert "stage 1: kind 'identity' does not read 'snr_db'" in message
         assert "stage 2: must be a JSON object, got 7" in message
+        # an unread field is reported with the stage's other problems, not in place of them
+        assert ("stage 3: kind 'additive_noise' does not read 'foo'; "
+                "'snr_db' must be a number of dB from -100 to 100, got 'x'") in message
 
     def test_dict_round_trip(self):
         spec = ChannelSpec(kind="composite", seed=5, stages=[
