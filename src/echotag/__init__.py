@@ -32,7 +32,7 @@ from .harness import (
     run_bitflip_curve,
     run_duration_sweep,
 )
-from .keyfiles import load_key_file, load_pattern_set, save_key_file, save_pattern_set
+from .keyfiles import load_key_file, load_pattern_set, save_key_file
 from .patterns import (
     PatternSet,
     flip_bits,
@@ -85,6 +85,5 @@ __all__ = [
     "run_duration_sweep",
     "save_audio",
     "save_key_file",
-    "save_pattern_set",
     "zscore_profile",
 ]

@@ -173,7 +173,8 @@ def resample(clip: AudioClip, target_rate: int) -> AudioClip:
 
     Output length is resampled_length(len(clip), sample_rate, target_rate).
     Rates whose ratio the polyphase cap rounds to 1/1, equal rates among them,
-    give a copy trimmed or zero-padded to that length.
+    give a copy trimmed or zero-padded to that length; a ratio it rounds to 0
+    (a target under about 1/8192 of the clip's rate) is refused.
     """
     target_rate = int(target_rate)
     if target_rate <= 0:
@@ -182,6 +183,9 @@ def resample(clip: AudioClip, target_rate: int) -> AudioClip:
     if max(frac.numerator, frac.denominator) > _MAX_POLYPHASE_FACTOR:
         frac = Fraction(target_rate, clip.sample_rate).limit_denominator(_MAX_POLYPHASE_FACTOR)
     up, down = frac.numerator, frac.denominator
+    if up == 0:
+        raise ValueError(f"cannot resample {clip.sample_rate} Hz to {target_rate} Hz: the polyphase "
+                         f"cap of {_MAX_POLYPHASE_FACTOR} rounds their ratio to 0")
     if up == down:  # equal rates, or nearer than the cap can tell: 1/1 is the best ratio it has
         y = clip.samples.copy()
     else:

@@ -1,6 +1,8 @@
 """Command-line front end.
 
 Subcommands: gen-patterns, embed, tag-dataset, detect, payload, evaluate.
+gen-patterns writes the key file that embed and detect read: one spread key
+per designed pattern, named pn0, pn1, ... (zero-padded to one width).
 Detection always exits 0 when the measurement succeeds; thresholding the
 reported z-scores is a downstream policy decision. No command modifies its
 input files, and every command is deterministic given its arguments.
@@ -59,7 +61,7 @@ from .keyfiles import (
     hex_to_bits,
     load_key_file,
     read_fields,
-    save_pattern_set,
+    save_key_file,
     write_json,
 )
 from .patterns import generate_pattern_set
@@ -123,7 +125,7 @@ def build_parser() -> argparse.ArgumentParser:
     canonical.add_argument("--sample-rate", type=_sample_rate, default=DEFAULT_SAMPLE_RATE,
                            help="rate to resample each file to, or 'native' to keep its own (default 44100)")
 
-    p = sub.add_parser("gen-patterns", help="generate a time-spread pattern set file")
+    p = sub.add_parser("gen-patterns", help="write a key file of time-spread keys pn0, pn1, ...")
     p.add_argument("--count", type=int, required=True)
     p.add_argument("--length", type=int, default=1024)
     p.add_argument("--out", required=True)
@@ -195,7 +197,8 @@ def _canonicalize(clip, target_rate):
 def cmd_gen_patterns(args) -> int:
     _require_out_dir(args.out)
     ps = generate_pattern_set(args.count, args.length, args.seed or 0)
-    save_pattern_set(ps, args.out)
+    width = len(str(ps.count - 1))  # zero-padded, so the file's sorted names keep generation order
+    save_key_file({f"pn{i:0{width}}": SpreadKey(p) for i, p in enumerate(ps.patterns)}, args.out)
     distances = sorted(ps.pairwise_distances().tolist())
     print(json.dumps({
         "out": args.out,

@@ -20,6 +20,21 @@ DEFAULT_SPREAD_ALPHA = 0.01
 DEFAULT_SPREAD_DELTA = 75
 
 
+def _check_key(delta, alpha, pattern=None) -> None:
+    """Raise one ValueError that lists, joined by "; ", every problem of a key's fields."""
+    problems = []
+    if pattern is not None and (pattern.ndim != 1 or pattern.size < 2):
+        problems.append("pattern must be a 1-D bit sequence of length >= 2")
+    if pattern is not None and not np.all((pattern == 0) | (pattern == 1)):
+        problems.append("pattern bits must be 0 or 1")
+    if not (delta >= 1 and delta % 1 == 0):  # false for NaN and infinity too
+        problems.append(f"delta must be an integer >= 1, got {delta}")
+    if not 0 <= alpha < 1:
+        problems.append(f"alpha must be in [0, 1), got {alpha}")
+    if problems:
+        raise ValueError("; ".join(problems))
+
+
 @dataclass(frozen=True)
 class EchoKey:
     """Single-echo watermark key: lag in samples and echo amplitude."""
@@ -28,10 +43,7 @@ class EchoKey:
     alpha: float = DEFAULT_SINGLE_ALPHA
 
     def __post_init__(self):
-        if int(self.delta) != self.delta or self.delta < 1:
-            raise ValueError(f"delta must be an integer >= 1, got {self.delta}")
-        if not 0 <= self.alpha < 1:
-            raise ValueError(f"alpha must be in [0, 1), got {self.alpha}")
+        _check_key(self.delta, self.alpha)
         object.__setattr__(self, "delta", int(self.delta))
 
     @property
@@ -49,14 +61,7 @@ class SpreadKey:
 
     def __post_init__(self):
         pattern = np.asarray(self.pattern, dtype=np.uint8)
-        if pattern.ndim != 1 or pattern.size < 2:
-            raise ValueError("pattern must be a 1-D bit sequence of length >= 2")
-        if not np.all((pattern == 0) | (pattern == 1)):
-            raise ValueError("pattern bits must be 0 or 1")
-        if not 0 <= self.alpha < 1:
-            raise ValueError(f"alpha must be in [0, 1), got {self.alpha}")
-        if int(self.delta) != self.delta or self.delta < 1:
-            raise ValueError(f"delta must be an integer >= 1, got {self.delta}")
+        _check_key(self.delta, self.alpha, pattern)
         object.__setattr__(self, "pattern", pattern)
         object.__setattr__(self, "delta", int(self.delta))
 

@@ -108,9 +108,8 @@ class ChannelSpec:
         if not isinstance(d, dict):
             raise ValueError(f"must be a JSON object, got {reprlib.repr(d)}")
         kind = d.get("kind", "identity")
-        if not CHANNEL_KIND.ok(kind):
-            return cls(kind=kind)  # raises the ValueError that names the kind
-        reads = ("kind", "seed", *CHANNEL_FIELDS[kind])
+        # an unknown kind reads no field of its own; the constructor names the kind
+        reads = ("kind", "seed", *(CHANNEL_FIELDS[kind] if CHANNEL_KIND.ok(kind) else ()))
         unread = [name for name in d if name not in reads]
         problems = [f"kind {kind!r} does not read {', '.join(map(repr, unread))}"] if unread else []
         try:

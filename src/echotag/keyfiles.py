@@ -1,10 +1,10 @@
-"""On-disk formats: key files, pattern-set files, bit/hex packing, and the one
-reader (`read_fields`) of every version-stamped JSON file echotag reads.
+"""On-disk formats: key files, bit/hex packing, and the one reader
+(`read_fields`) of every version-stamped JSON file echotag reads.
 
-Both formats are human-readable JSON with a version field so forensic
+A key file is human-readable JSON with a version field so forensic
 workflows can audit exactly which keys tagged which outputs. Pattern bits are
 hex strings, MSB-first, zero-padded to a multiple of 4 bits; the true bit
-length always travels alongside in a header field.
+length always travels alongside in the key's length field.
 
 Key file:
     {"version": 1,
@@ -12,10 +12,8 @@ Key file:
               "<name>": {"type": "spread", "alpha": 0.01, "delta": 75,
                           "length": 1024, "bits": "<hex>"}}}
 
-Pattern-set file:
-    {"version": 1, "count": 8, "length": 1024, "seed": 1, "generator": 1,
-     "converged": true, "patterns": ["<hex>", ...],       # converged: true or left out
-     "distance_matrix": [[0, ...], ...]}
+`gen-patterns` writes a key file of spread keys; load_pattern_set reads their
+patterns back as a pattern set.
 """
 
 from __future__ import annotations
@@ -33,8 +31,6 @@ from .embed import EchoKey, SpreadKey
 from .patterns import PatternSet, validate_pattern_set
 
 KEY_FILE_VERSION = 1
-PATTERN_FILE_VERSION = 1
-PATTERN_GENERATOR_VERSION = 1
 
 
 def bits_to_hex(bits) -> str:
@@ -208,7 +204,7 @@ def key_from_dict(d):
             if kind == "single":
                 return EchoKey(delta=delta, alpha=alpha)
             return SpreadKey(pattern=hex_to_bits(bits, length), alpha=alpha, delta=delta)
-        except (ValueError, OverflowError) as exc:  # OverflowError: an infinite delta
+        except ValueError as exc:
             fields.problem(str(exc))
     raise ValueError("; ".join(fields.problems))
 
@@ -235,45 +231,12 @@ def load_key_file(path) -> dict:
     return keys
 
 
-def save_pattern_set(ps: PatternSet, path) -> None:
-    document = {
-        "version": PATTERN_FILE_VERSION,
-        "generator": PATTERN_GENERATOR_VERSION,
-        "count": ps.count,
-        "length": ps.length,
-        "seed": ps.seed,
-        "converged": True,  # generate_pattern_set raises rather than return a set that misses the rule
-        "patterns": [bits_to_hex(p) for p in ps.patterns],
-        "distance_matrix": ps.distance_matrix.tolist(),
-    }
-    write_json(path, document)
-
-
 def load_pattern_set(path) -> PatternSet:
-    """Read a pattern-set file; one ConfigError lists every problem in it, rule breaks
-    included. The rule always applies: a file cannot turn it off with "converged": false."""
-    with read_fields(path, "pattern-set file", PATTERN_FILE_VERSION) as fields:
-        length = fields.get("length", POSITIVE_INTEGER)
-        patterns = fields.get("patterns", Kind("a list of hex strings", lambda v: (
-            isinstance(v, list) and all(isinstance(h, str) for h in v))))
-        seed = fields.get("seed", INTEGER)
-        fields.get("count", Kind("the number of patterns", lambda v: INTEGER.ok(v) and (
-            patterns is None or v == len(patterns))))
-        fields.get("generator", Kind(repr(PATTERN_GENERATOR_VERSION), lambda v: (
-            INTEGER.ok(v) and v == PATTERN_GENERATOR_VERSION)))
-        distances = fields.get("distance_matrix", Kind("a matrix of integers", lambda v: isinstance(v, list)))
-        fields.get("converged", Kind("true", lambda v: v is True), True)
-        pattern_set = None
-        if not fields.problems:
-            try:
-                bits = [hex_to_bits(h, length) for h in patterns]
-            except ValueError as exc:
-                fields.problem(f"bad pattern bits: {exc}")
-            else:
-                pattern_set = PatternSet(bits, seed)
-                for problem in validate_pattern_set(pattern_set):
-                    fields.problem(problem)
-                # with no patterns there is no matrix to derive; the rule has refused the set
-                if bits and distances != pattern_set.distance_matrix.tolist():
-                    fields.problem("distance matrix does not match patterns")
+    """The patterns of a key file's spread keys, in file order, as a pattern set; single-echo
+    keys are skipped. One ConfigError lists every way the set breaks the pattern-set rule."""
+    patterns = [key.pattern for key in load_key_file(path).values() if isinstance(key, SpreadKey)]
+    pattern_set = PatternSet(patterns, seed=None)
+    problems = validate_pattern_set(pattern_set)
+    if problems:
+        raise ConfigError("pattern set in key file", path, problems)
     return pattern_set

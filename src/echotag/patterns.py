@@ -25,7 +25,7 @@ class PatternSet:
     """A family of equal-length binary patterns."""
 
     patterns: list
-    seed: int
+    seed: int | None  # None for a set read from a key file, which holds no seed
 
     def __post_init__(self):
         self.patterns = [np.asarray(p, dtype=np.uint8) for p in self.patterns]

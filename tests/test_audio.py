@@ -213,6 +213,11 @@ class TestResample:
         with pytest.raises(ValueError):
             resample(noise_clip(0, seconds=0.01), 0)
 
+    @pytest.mark.parametrize("target", [1, 5])
+    def test_rate_the_polyphase_cap_rounds_to_zero_refused(self, target):
+        with pytest.raises(ValueError, match=f"cannot resample {SR} Hz to {target} Hz: the polyphase cap"):
+            resample(noise_clip(0, seconds=0.01), target)
+
     def test_sine_against_analytic_target(self):
         # 1 kHz at 48 kHz resampled to 44.1 kHz vs directly generated target
         src = sine_clip(1000.0, seconds=1.0, rate=48000)

@@ -12,8 +12,8 @@ import numpy as np
 import pytest
 
 import echotag
-from echotag import (AudioClip, EchoKey, SpreadKey, detect_spread, generate_pattern, load_audio,
-                     load_key_file, save_audio, save_key_file)
+from echotag import (AudioClip, EchoKey, SpreadKey, detect_spread, generate_pattern, generate_pattern_set,
+                     load_audio, load_key_file, save_audio, save_key_file)
 from echotag.cli import build_parser, main
 from echotag.evalrun import load_eval_config
 from echotag.keyfiles import ConfigError, bits_to_hex, hex_to_bits, load_pattern_set
@@ -85,6 +85,21 @@ class TestGenPatterns:
         assert run_cli("gen-patterns", "--count", 1, "--out", out) == 1
         assert not out.exists()
         assert "at least 2" in capsys.readouterr().err
+
+    def test_keys_named_in_generation_order(self, tmp_path):
+        out = tmp_path / "keys.json"
+        assert run_cli("--seed", 3, "gen-patterns", "--count", 12, "--length", 512, "--out", out) == 0
+        assert list(load_key_file(out)) == [f"pn{i:02d}" for i in range(12)]
+        expected = generate_pattern_set(12, 512, 3).patterns
+        assert [p.tolist() for p in load_pattern_set(out).patterns] == [p.tolist() for p in expected]
+
+    def test_spread_key_round_trip_through_the_cli_alone(self, tmp_path, carrier_wav, capsys):
+        keys, tagged = tmp_path / "keys.json", tmp_path / "tagged.wav"
+        assert run_cli("--seed", 1, "gen-patterns", "--count", 4, "--out", keys) == 0
+        assert run_cli("embed", "--in", carrier_wav, "--out", tagged, "--key-file", keys, "--key", "pn3") == 0
+        capsys.readouterr()
+        assert run_cli("detect", "--in", tagged, "--key-file", keys, "--key", "pn3") == 0
+        assert json.loads(capsys.readouterr().out)["argmax_lag"] == 75
 
     def test_spread_targets_missed_is_one_error_line(self, tmp_path):
         out = tmp_path / "ps.json"
@@ -627,7 +642,8 @@ class TestEvaluate:
             ({"kind": "attenuate_echo", "ratio": 3}, "'ratio' must be a number in (0, 1], got 3"),
             ({"kind": ["additive_noise"]}, "'kind' must be one of identity, attenuate_echo"),
             # random_resample with probability 1 and low = high = factor is the same shift
-            ({"kind": "resample_factor", "factor": 2}, "'kind' must be one of identity, attenuate_echo, "
+            ({"kind": "resample_factor", "factor": 2}, "kind 'resample_factor' does not read 'factor'; "
+                                                       "'kind' must be one of identity, attenuate_echo, "
                                                        "additive_noise, random_resample, composite, "
                                                        "got 'resample_factor'"),
         ):
@@ -1022,3 +1038,12 @@ def test_sample_rate_is_an_integer_or_native(tmp_path, keyfile, carrier_wav, cap
     assert capsys.readouterr().err.splitlines() == [
         "echotag: error: argument --sample-rate: must be a positive integer or 'native', got 'natve'"]
     assert sorted(tmp_path.rglob("*")) == before
+
+
+@pytest.mark.parametrize("command", ["detect", "embed"])
+def test_sample_rate_the_polyphase_cap_cannot_reach_is_refused(tmp_path, keyfile, carrier_wav, capsys, command):
+    argv = SAMPLE_RATE_COMMANDS[command](tmp_path, keyfile, carrier_wav)
+    assert run_cli(*argv, "--sample-rate", 5) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        "echotag: error: cannot resample 44100 Hz to 5 Hz: the polyphase cap of 4096 rounds their ratio to 0"]
+    assert not (tmp_path / "o.wav").exists()

@@ -106,6 +106,8 @@ class TestChannelSpec:
                 {"kind": "identity", "snr_db": 10.0},
                 7,
                 {"kind": "additive_noise", "snr_db": "x", "foo": 1},
+                {"kind": "bogus", "seed": -1, "snr_db": "x"},
+                {"kind": ["unhashable"], "ratio": 0.5},
             ]})
         message = str(info.value)
         assert "'seed' must be a non-negative integer, got -1" in message
@@ -115,6 +117,11 @@ class TestChannelSpec:
         # an unread field is reported with the stage's other problems, not in place of them
         assert ("stage 3: kind 'additive_noise' does not read 'foo'; "
                 "'snr_db' must be a number of dB from -100 to 100, got 'x'") in message
+        # an unknown kind reads only kind and seed, and each of them is checked
+        kinds = "'kind' must be one of identity, attenuate_echo, additive_noise, random_resample, composite"
+        assert (f"stage 4: kind 'bogus' does not read 'snr_db'; {kinds}, got 'bogus'; "
+                "'seed' must be a non-negative integer, got -1") in message
+        assert f"stage 5: kind ['unhashable'] does not read 'ratio'; {kinds}, got ['unhashable']" in message
 
     def test_dict_round_trip(self):
         spec = ChannelSpec(kind="composite", seed=5, stages=[

@@ -15,7 +15,6 @@ from echotag import (
     load_pattern_set,
     save_audio,
     save_key_file,
-    save_pattern_set,
 )
 from echotag.cli import load_manifest
 from echotag.evalrun import load_eval_config
@@ -96,83 +95,53 @@ class TestKeyFiles:
             load_key_file(path)
 
 
-class TestPatternSetFiles:
-    def test_round_trip(self, tmp_path):
-        ps = generate_pattern_set(4, 256, 3)
-        path = tmp_path / "patterns.json"
-        save_pattern_set(ps, path)
-        loaded = load_pattern_set(path)
-        assert loaded.count == 4 and loaded.length == 256 and loaded.seed == 3
-        assert all(np.array_equal(a, b) for a, b in zip(loaded.patterns, ps.patterns))
-        assert np.array_equal(loaded.distance_matrix, ps.distance_matrix)
+class TestKeyEntryProblems:
+    @pytest.mark.parametrize("entry, problems", [
+        ({"type": "single", "delta": 0, "alpha": 2},
+         ["delta must be an integer >= 1, got 0", "alpha must be in [0, 1), got 2"]),
+        ({"type": "spread", "delta": 0.5, "alpha": -1, "length": 1, "bits": "8"},
+         ["pattern must be a 1-D bit sequence of length >= 2", "delta must be an integer >= 1, got 0.5",
+          "alpha must be in [0, 1), got -1"]),
+    ], ids=["single", "spread"])
+    def test_every_problem_listed(self, entry, problems):
+        with pytest.raises(ValueError) as info:
+            key_from_dict(entry)
+        assert str(info.value) == "; ".join(problems)
 
-    def test_rewrite_is_byte_identical(self, tmp_path):
-        ps = generate_pattern_set(4, 256, 3)
-        a, b = tmp_path / "a.json", tmp_path / "b.json"
-        save_pattern_set(ps, a)
-        save_pattern_set(ps, b)
-        assert a.read_bytes() == b.read_bytes()
 
-    def test_version_gate(self, tmp_path):
-        path = tmp_path / "bad.json"
-        path.write_text(json.dumps({"version": 2, "patterns": []}))
-        with pytest.raises(ValueError, match="version"):
-            load_pattern_set(path)
+class TestLoadPatternSet:
+    """load_pattern_set reads a key file's spread keys as a pattern set."""
 
     @staticmethod
-    def _document(tmp_path, ps):
-        save_pattern_set(ps, tmp_path / "patterns.json")
-        return json.loads((tmp_path / "patterns.json").read_text())
-
-    @staticmethod
-    def _problems(tmp_path, document):
-        path = tmp_path / "edited.json"
-        path.write_text(json.dumps(document))
+    def _problems(path):
         with pytest.raises(ConfigError) as info:
             load_pattern_set(path)
         return info.value.problems
 
-    def test_run_and_matrix_problems_listed_together(self, tmp_path):
-        document = self._document(tmp_path, generate_pattern_set(4, 64, 1))
-        document["patterns"][0] = "f" * 16  # a run of 64 ones
-        document["distance_matrix"] = [[0] * 4 for _ in range(4)]
-        problems = self._problems(tmp_path, document)
-        assert "pattern 0 has a run longer than 2" in problems
-        assert "distance matrix does not match patterns" in problems
+    def test_single_echo_keys_skipped(self, tmp_path):
+        ps = generate_pattern_set(4, 256, 3)
+        keys = {"a_echo": EchoKey(50), "b": SpreadKey(ps.patterns[0]), "c_echo": EchoKey(75),
+                **{f"d{i}": SpreadKey(p) for i, p in enumerate(ps.patterns[1:])}}
+        save_key_file(keys, tmp_path / "keys.json")
+        loaded = load_pattern_set(tmp_path / "keys.json")
+        assert [p.tolist() for p in loaded.patterns] == [p.tolist() for p in ps.patterns]
+
+    def test_rule_breaks_listed_together(self, tmp_path):
+        run_of_three = np.array([1, 1, 1] + [0, 1] * 30 + [0], dtype=np.uint8)
+        save_key_file({"pn0": SpreadKey(run_of_three), "pn1": SpreadKey(run_of_three)}, tmp_path / "keys.json")
+        assert self._problems(tmp_path / "keys.json") == [
+            "pattern 0 has a run longer than 2", "pattern 1 has a run longer than 2",
+            "minimum pairwise distance 0 below 16"]
 
     @pytest.mark.parametrize("count", [0, 1])
-    def test_fewer_than_two_patterns_refused(self, tmp_path, count):
-        document = self._document(tmp_path, generate_pattern_set(4, 64, 1))
-        document["patterns"] = document["patterns"][:count]
-        document["count"] = count
-        document["distance_matrix"] = [row[:count] for row in document["distance_matrix"][:count]]
-        problems = self._problems(tmp_path, document)
-        assert problems == [f"a pattern set needs at least 2 patterns, got {count}"]
-
-    @pytest.mark.parametrize("field, value, problem", [
-        ("count", 99, "'count' must be the number of patterns, got 99"),
-        ("generator", 7, "'generator' must be 1, got 7"),
-    ])
-    def test_header_must_match_the_file(self, tmp_path, field, value, problem):
-        document = self._document(tmp_path, generate_pattern_set(4, 64, 1))
-        document[field] = value
-        assert self._problems(tmp_path, document) == [problem]
-
-    def test_converged_false_refused(self, tmp_path):
-        ps = generate_pattern_set(4, 64, 1)
-        document = self._document(tmp_path, ps)
-        document["converged"] = False
-        assert self._problems(tmp_path, document) == ["'converged' must be true, got False"]
-        del document["converged"]  # a file without the field holds the rule too
-        (tmp_path / "edited.json").write_text(json.dumps(document))
-        assert load_pattern_set(tmp_path / "edited.json").patterns[1].tolist() == ps.patterns[1].tolist()
-        ps.patterns[1] = ps.patterns[0].copy()  # distance 0
-        document = self._document(tmp_path, ps)
-        assert self._problems(tmp_path, document) == ["minimum pairwise distance 0 below 8"]
+    def test_fewer_than_two_spread_keys_refused(self, tmp_path, count):
+        keys = {"echo75": EchoKey(75), **{f"pn{i}": SpreadKey(generate_pattern(64, i)) for i in range(count)}}
+        save_key_file(keys, tmp_path / "keys.json")
+        assert self._problems(tmp_path / "keys.json") == [f"a pattern set needs at least 2 patterns, got {count}"]
 
 
 # Valid documents for the two files a user writes by hand; their paths are
-# relative to the directory that holds all four files.
+# relative to the directory that holds them all.
 MANIFEST = {
     "version": 1, "key_file": "keys.json", "base_input_dir": ".", "base_output_dir": "out",
     "overwrite": False, "format": "float32",
@@ -192,14 +161,16 @@ CONFIG = {
     "band": [25, 125], "include_clean": True, "flips": [0, 8], "bitflip_duration": 0.05,
     "output_dir": "results",
 }
-PATTERN_FIELDS = ("version", "count", "length", "seed", "generator", "converged", "patterns",
-                  "distance_matrix")
-# (file, path to the replaced field): every top-level field and every field of an entry
+# (file, path to the replaced field): every top-level field and every field of an entry.
+# "patterns" is a key file read by load_pattern_set: a single-echo key and three spread keys.
 FIELD_CASES = (
     [("keys", ("version",)), ("keys", ("keys",)), ("keys", ("keys", "echo75")), ("keys", ("keys", "pn0"))]
     + [("keys", ("keys", "echo75", f)) for f in ("type", "delta", "alpha")]
     + [("keys", ("keys", "pn0", f)) for f in ("type", "delta", "alpha", "length", "bits")]
-    + [("patterns", (f,)) for f in PATTERN_FIELDS]
+    + [("patterns", ("version",)), ("patterns", ("keys",))]
+    + [("patterns", ("keys", k)) for k in ("echo75", "pn0", "pn1", "pn2")]
+    + [("patterns", ("keys", "echo75", f)) for f in ("type", "delta", "alpha")]
+    + [("patterns", ("keys", "pn1", f)) for f in ("type", "delta", "alpha", "length", "bits")]
     + [("manifest", (f,)) for f in MANIFEST]
     + [("manifest", ("entries", 0, f)) for f in MANIFEST["entries"][0]]
     + [("config", (f,)) for f in CONFIG]
@@ -225,7 +196,9 @@ def valid_files(tmp_path_factory):
     save_audio(noise_clip(0, seconds=0.1), root / "a.wav", format="float32")
     save_key_file({"echo75": EchoKey(75, 0.4), "pn0": SpreadKey(generate_pattern(64, 1))},
                   root / "keys.json")
-    save_pattern_set(generate_pattern_set(3, 64, 1), root / "patterns.json")
+    save_key_file({"echo75": EchoKey(75, 0.4),
+                   **{f"pn{i}": SpreadKey(p) for i, p in enumerate(generate_pattern_set(3, 64, 1).patterns)}},
+                  root / "patterns.json")
     files = {
         "keys": (load_key_file, json.loads((root / "keys.json").read_text())),
         "patterns": (load_pattern_set, json.loads((root / "patterns.json").read_text())),
@@ -294,7 +267,7 @@ def _objects(document, path=()):
 
 
 # file -> how many objects _objects finds in its valid document
-OBJECT_COUNTS = {"keys": 3, "patterns": 1, "manifest": 2, "config": 7}
+OBJECT_COUNTS = {"keys": 3, "patterns": 5, "manifest": 2, "config": 7}
 
 
 @pytest.mark.parametrize("name", sorted(OBJECT_COUNTS))
