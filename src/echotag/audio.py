@@ -4,9 +4,9 @@ Everything downstream works on `AudioClip`: a mono float64 buffer plus its
 sample rate. Files of any supported bit depth are converted to that canonical
 form on load so cepstra are never quantization-limited. Every file echotag
 writes goes through `atomic_output`, so no output is ever left half-written.
-scipy is imported inside the functions that call it: `scipy.signal`, which
-only resampling uses, alone takes most of a second to import, and most
-commands never resample.
+scipy is imported only inside load_audio and save_audio, for WAV I/O:
+resampling is a polyphase filter of numpy matrix products, so no command
+loads `scipy.signal`, which alone takes most of a second to import.
 """
 
 from __future__ import annotations
@@ -20,10 +20,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 log = logging.getLogger(__name__)
 
 DEFAULT_SAMPLE_RATE = 44100
+# samples per group of resample's windows and of convolve's blocks, and per block of
+# the echo add and the payload codec: temporaries stay a few MB at any length
+MIX_BLOCK = 1 << 16
 # the formats save_audio writes
 AUDIO_FORMATS = ("pcm16", "float32")
 # what load_audio divides each sample type by (None: float, left as read); scipy
@@ -34,6 +38,10 @@ _FULL_SCALE = {"int16": 2.0**15, "int32": 2.0**31, "float32": None, "float64": N
 RESAMPLE_TAPS_PER_PHASE = 64
 RESAMPLE_KAISER_BETA = 12.0
 _MAX_POLYPHASE_FACTOR = 4096
+# the largest term of a rounded ratio that resample designs a kernel for, at 64 taps a term
+_MAX_RATIO_TERM = 1 << 17
+# multiply-adds in one of resample's matrix products: the plan alone sets their shape
+_PRODUCT_TERMS = 1 << 16
 
 
 @dataclass
@@ -150,17 +158,66 @@ def atomic_output(path, mode: str = "w", **open_kwargs):
         raise
 
 
-@functools.lru_cache(maxsize=1)
 def _design_resample_kernel(up: int, down: int) -> np.ndarray:
-    # lowpass at min(fs_in, fs_out)/2 in the upsampled domain; resample_poly applies the gain
-    # `up` to its own copy. The last is kept, read-only, for the next resample at that ratio.
-    import scipy.signal
-
+    # unit-sum lowpass at min(fs_in, fs_out)/2 in the upsampled domain: a sinc under a Kaiser
+    # window, 64 taps a term of the ratio; it is even, so its left half and centre are computed
     m = max(up, down)
-    n_taps = 2 * (RESAMPLE_TAPS_PER_PHASE // 2) * m + 1
-    kernel = scipy.signal.firwin(n_taps, 1.0 / m, window=("kaiser", RESAMPLE_KAISER_BETA))
-    kernel.flags.writeable = False
-    return kernel
+    half = RESAMPLE_TAPS_PER_PHASE // 2 * m
+    t = np.arange(-half, 1)
+    left = np.sinc(t / m) * np.i0(RESAMPLE_KAISER_BETA * np.sqrt(1 - (t / half) ** 2))
+    kernel = np.concatenate((left, left[-2::-1]))
+    return kernel / kernel.sum()
+
+
+@functools.lru_cache(maxsize=1)
+def _resample_plan(up: int, down: int):
+    """The polyphase plan (taps, first, rows, period, advance) for up/down, kept read-only.
+
+    resample_poly's output n is up * sum_q x[q] h[n * down + half - up * q] for the kernel h,
+    so a cycle of p periods gives `period` = p * up outputs from the input `advance` = p * down
+    samples on (p: the most, at least 1, with at most 64 outputs and 64^2 inputs a cycle).
+    Its outputs go in chunks of at most 64, the last padded past the cycle: chunk c of cycle k
+    is the window x[k * advance + first[c]:][:span] @ taps[c], a (span, C) matrix. One matrix
+    product takes `rows` cycles of a chunk, about _PRODUCT_TERMS multiply-adds.
+    """
+    h = up * _design_resample_kernel(up, down)
+    half = h.size // 2
+    p = max(1, min(RESAMPLE_TAPS_PER_PHASE // up, RESAMPLE_TAPS_PER_PHASE**2 // down))
+    chunks = -(-p * up // RESAMPLE_TAPS_PER_PHASE)
+    j = np.arange(chunks * -(-p * up // chunks)).reshape(chunks, 1, -1)  # each chunk's outputs in the cycle
+    first = -((half - j[:, :, :1] * down) // up)  # the first input each chunk's phases weigh
+    span = int(((j[:, :, -1:] * down + half) // up - first).max()) + 1
+    index = j * down + half - up * (first + np.arange(span)[:, None]) + 1  # into h with a zero at each end
+    taps = np.pad(h, 1)[np.clip(index, 0, h.size + 1, out=index)]
+    first = first[:, 0, 0]
+    taps.flags.writeable = first.flags.writeable = False
+    return taps, first, max(1, _PRODUCT_TERMS // taps[0].size), p * up, p * down
+
+
+def _polyphase(x: np.ndarray, plan, n: int) -> np.ndarray:
+    """resample_poly's output for x with the plan's kernel, cut or zero-padded to n samples.
+
+    Groups of whole products, about MIX_BLOCK window samples each, keep temporaries a few MB;
+    every product has the plan's shape, padded past the last cycle, so grouping changes no value.
+    """
+    taps, first, rows, period, advance = plan
+    chunks, span, width = taps.shape
+    n_keep = min(n, -(-x.size * period // advance))  # resample_poly's length
+    cycles = -(-n_keep // (rows * period)) * rows
+    group = max(1, MIX_BLOCK // (chunks * rows * span)) * rows
+    y = np.zeros(n)
+    for k in range(0, cycles, group):
+        g = min(group, cycles - k)
+        lo, hi = k * advance + first[0], (k + g - 1) * advance + first[-1] + span
+        part = x[max(lo, 0) : hi]
+        seg = np.zeros(hi - lo)
+        seg[max(-lo, 0) :][: part.size] = part
+        windows = sliding_window_view(seg, span)[first[:, None] - first[0] + advance * np.arange(g)]
+        out = (windows.reshape(chunks, g // rows, rows, span) @ taps[:, None]).reshape(chunks, g, width)
+        out = out.transpose(1, 0, 2).reshape(g, -1)[:, :period].ravel()  # in output order
+        stop = min((k + g) * period, n_keep)
+        y[k * period : stop] = out[: stop - k * period]
+    return y
 
 
 def resampled_length(n: int, rate: int, target_rate: int) -> int:
@@ -171,10 +228,13 @@ def resampled_length(n: int, rate: int, target_rate: int) -> int:
 def resample(clip: AudioClip, target_rate: int) -> AudioClip:
     """Band-limited polyphase resampling to target_rate.
 
-    Output length is resampled_length(len(clip), sample_rate, target_rate).
-    Rates whose ratio the polyphase cap rounds to 1/1, equal rates among them,
-    give a copy trimmed or zero-padded to that length; a ratio it rounds to 0
-    (a target under about 1/8192 of the clip's rate) is refused.
+    The ratio of the rates, its terms rounded to at most the polyphase cap,
+    is up/down. The output is scipy.signal.resample_poly(x, up, down) with
+    the same Kaiser-windowed sinc kernel, to within 1e-12 of the input's peak,
+    cut or zero-padded to resampled_length(len(clip), sample_rate, target_rate).
+    A ratio rounded to 1/1, equal rates among them, gives a copy. A ratio
+    rounded to 0 (a target under about 1/8192 of the clip's rate), or to one
+    with a term over 2^17 (a target over 32 times the clip's rate), is refused.
     """
     target_rate = int(target_rate)
     if target_rate <= 0:
@@ -186,16 +246,16 @@ def resample(clip: AudioClip, target_rate: int) -> AudioClip:
     if up == 0:
         raise ValueError(f"cannot resample {clip.sample_rate} Hz to {target_rate} Hz: the polyphase "
                          f"cap of {_MAX_POLYPHASE_FACTOR} rounds their ratio to 0")
-    if up == down:  # equal rates, or nearer than the cap can tell: 1/1 is the best ratio it has
-        y = clip.samples.copy()
-    else:
-        import scipy.signal
-
-        y = scipy.signal.resample_poly(clip.samples, up, down, window=_design_resample_kernel(up, down))
+    if max(up, down) > _MAX_RATIO_TERM:
+        raise ValueError(f"cannot resample {clip.sample_rate} Hz to {target_rate} Hz: the polyphase "
+                         f"cap of {_MAX_POLYPHASE_FACTOR} rounds their ratio to {up}/{down}, and a term "
+                         f"over {_MAX_RATIO_TERM} is refused")
     n_out = resampled_length(len(clip), clip.sample_rate, target_rate)
-    if y.size < n_out:
-        y = np.pad(y, (0, n_out - y.size))
-    return AudioClip(y[:n_out], target_rate)
+    if up == down:  # equal rates, or nearer than the cap can tell: 1/1 is the best ratio it has
+        y = np.pad(clip.samples, (0, max(n_out - len(clip), 0)))[:n_out]
+    else:
+        y = _polyphase(clip.samples, _resample_plan(up, down), n_out)
+    return AudioClip(y, target_rate)
 
 
 def mix(clips, weights) -> AudioClip:

@@ -7,7 +7,8 @@ real_cepstrum computes only the lags a caller reads, with no inverse FFT:
 single-echo detection's band and the payload decoder's two lags. Spread
 detection and the bit-flip curve take the whole inverse.
 Everything here runs on numpy alone: convolve is an overlap-add of numpy
-FFTs, so spread embedding loads no `scipy.signal`.
+FFTs. With audio.resample's numpy polyphase filter, no command loads
+`scipy.signal`.
 """
 
 from __future__ import annotations
@@ -16,11 +17,8 @@ import math
 
 import numpy as np
 
-from .audio import AudioClip
+from .audio import MIX_BLOCK, AudioClip
 
-# samples per group of convolve's blocks, and per block of the echo add and the
-# payload codec: temporaries stay a few MB at any length
-MIX_BLOCK = 1 << 16
 # magnitude floor applied before the log so silent or band-limited input
 # yields a finite cepstrum
 SPECTRAL_FLOOR = 1e-12

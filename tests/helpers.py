@@ -9,8 +9,9 @@ single-echo kernel that embed_single_echo must equal a convolution with and
 the whole-clip add that its blockwise add must equal, and
 the unmemoized forms of the work an evaluate cell shares between its two
 conditions: the whole-clip FFT convolution, a fresh-rng additive_noise draw
-and a freshly designed resample kernel, and the recursions over a composite
-channel's stages that harness's one stage walk replaced.
+and a resample plan built without the cache, scipy's resample_poly that
+resample replaced, and the recursions over a composite channel's stages that
+harness's one stage walk replaced.
 
 The synthetic music clips stand in for real corpus material: bass, chords,
 melody and percussion with per-note envelopes, deterministic per seed.
@@ -22,7 +23,8 @@ import numpy as np
 import scipy.signal
 
 from echotag import AudioClip, EchoKey, embed_single_echo, real_cepstrum, resample
-from echotag.audio import RESAMPLE_KAISER_BETA, RESAMPLE_TAPS_PER_PHASE, resampled_length
+from echotag.audio import (RESAMPLE_KAISER_BETA, RESAMPLE_TAPS_PER_PHASE, _polyphase, _resample_plan,
+                           resampled_length)
 from echotag.detect import SIGMA_FLOOR
 from echotag.patterns import MAX_RUN
 
@@ -220,9 +222,17 @@ def echo_alpha_scale_recursive(spec) -> float:
     return 1.0
 
 
+def resample_uncached(clip, up: int, down: int) -> np.ndarray:
+    """resample's samples for the ratio up/down (coprime, both at most the
+    polyphase cap, up != down), from a plan built without the cache."""
+    n_out = resampled_length(len(clip), down, up)
+    return _polyphase(clip.samples, _resample_plan.__wrapped__(up, down), n_out)
+
+
 def resample_fresh(clip, up: int, down: int) -> np.ndarray:
     """resample's samples for the ratio up/down (coprime, both at most the
-    polyphase cap, up != down), with the kernel designed by firwin every call."""
+    polyphase cap, up != down) by scipy's resample_poly, with the kernel
+    designed by firwin every call."""
     m = max(up, down)
     n_taps = 2 * (RESAMPLE_TAPS_PER_PHASE // 2) * m + 1
     kernel = scipy.signal.firwin(n_taps, 1.0 / m, window=("kaiser", RESAMPLE_KAISER_BETA))

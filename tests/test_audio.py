@@ -1,5 +1,7 @@
 import itertools
+import math
 import os
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -8,15 +10,26 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from echotag import AudioClip, ChannelSpec, detect_single_echo, load_audio, mix, resample, save_audio
-from echotag import evalrun
-from echotag.audio import _design_resample_kernel
+from echotag import audio, evalrun
+from echotag.audio import _MAX_POLYPHASE_FACTOR, _resample_plan, resampled_length
 from echotag.embed import EchoKey, embed_single_echo
 from echotag.harness import SweepRow
 from echotag.keyfiles import write_json
-from helpers import SR, noise_clip, resample_fresh, sine_clip
+from helpers import SR, music_clip, noise_clip, resample_fresh, resample_uncached, sine_clip, traced_peak
 
 # coprime up/down ratios, near and far from 1
 RESAMPLE_RATIOS = [(3, 2), (2, 3), (160, 147), (147, 160), (1024, 1023)]
+CAP = _MAX_POLYPHASE_FACTOR
+# coprime up/down ratios up to the polyphase cap: any, 1/k, k/1 and both terms next to the cap
+CAPPED_RATIOS = st.one_of(
+    st.tuples(st.integers(1, CAP), st.integers(1, CAP)),
+    st.integers(2, CAP).map(lambda k: (1, k)),
+    st.integers(2, CAP).map(lambda k: (k, 1)),
+    st.tuples(st.integers(CAP - 64, CAP), st.integers(CAP - 64, CAP)),
+).filter(lambda r: r[0] != r[1] and math.gcd(*r) == 1)
+# (rate, target) of 60 s clips: a pitch factor eval-pitch can draw (1.0204), a 6:1
+# decimation and an upsampling by 441/80
+LONG_CLIP_RATES = [(SR, 43217), (48000, 8000), (8000, SR)]
 
 
 class TestAudioClip:
@@ -241,7 +254,7 @@ class TestResample:
             assert len(out) == round(len(clip) * target / SR)
 
     # a drawn order of ratios, so one repeats and alternates with others (a, b, a):
-    # the kept kernel must never stand in for another ratio's
+    # the kept plan must never stand in for another ratio's
     @settings(max_examples=25, deadline=None)
     @given(order=st.lists(st.sampled_from(RESAMPLE_RATIOS), min_size=1, max_size=6),
            n=st.integers(min_value=1, max_value=3000))
@@ -250,12 +263,72 @@ class TestResample:
         for step, (up, down) in enumerate(order):
             clip = AudioClip(np.random.default_rng(step).standard_normal(n), 100 * down)
             out = resample(clip, 100 * up)
-            assert np.array_equal(out.samples, resample_fresh(clip, up, down))
+            assert np.array_equal(out.samples, resample_uncached(clip, up, down))
 
-    def test_kept_kernel_is_read_only(self):
-        kernel = _design_resample_kernel(3, 2)
+    def test_kept_plan_is_read_only(self):
+        taps, first = _resample_plan(3, 2)[:2]
         with pytest.raises(ValueError):
-            kernel[0] = 1.0
+            taps[0, 0, 0] = 1.0
+        with pytest.raises(ValueError):
+            first[0] = 1
+
+    # the numpy polyphase path against scipy's resample_poly with firwin's kernel, to
+    # 1e-12 of the input's peak; a clip is cut to at most 400,000 output samples, since
+    # a k/1 ratio near the cap upsamples 3,000 samples to 12 million
+    @settings(max_examples=40, deadline=None)
+    @given(ratio=CAPPED_RATIOS, n=st.integers(min_value=1, max_value=3000),
+           seed=st.integers(min_value=0, max_value=2**31))
+    @example(ratio=(1, CAP), n=3000, seed=0)
+    @example(ratio=(CAP, 1), n=3000, seed=0)
+    @example(ratio=(CAP, CAP - 1), n=3000, seed=0)
+    @example(ratio=(CAP - 1, CAP), n=1, seed=0)
+    def test_within_1e_12_of_scipy(self, ratio, n, seed):
+        up, down = ratio
+        x = np.random.default_rng(seed).standard_normal(max(1, min(n, 400_000 * down // up)))
+        clip = AudioClip(x, 100 * down)
+        out = resample(clip, 100 * up).samples
+        oracle = resample_fresh(clip, up, down)
+        assert out.size == oracle.size
+        assert np.max(np.abs(out - oracle)) <= 1e-12 * np.max(np.abs(x))
+
+    def test_8s_clip_at_an_eval_pitch_ratio_within_1e_12_of_scipy(self):
+        clip = music_clip(23, seconds=8.0)
+        ratio = Fraction(43217, SR).limit_denominator(CAP)  # 2594/2647
+        out = resample(clip, 43217).samples
+        oracle = resample_fresh(clip, ratio.numerator, ratio.denominator)
+        assert out.size == oracle.size == 345_736
+        assert np.max(np.abs(out - oracle)) <= 1e-12 * np.max(np.abs(clip.samples))
+
+    # besides its output, resampling a 60 s clip holds the plan, which it builds, and
+    # at most 4 MiB: the windows of one group of about MIX_BLOCK samples and its products
+    @pytest.mark.parametrize("rate, target", LONG_CLIP_RATES)
+    def test_60s_clip_peaks_within_output_plus_plan_plus_4_mib(self, rate, target):
+        clip = noise_clip(31, seconds=60.0, rate=rate)
+        _resample_plan.cache_clear()
+        peak = traced_peak(resample, clip, target)
+        ratio = Fraction(target, rate).limit_denominator(CAP)
+        taps, first = _resample_plan(ratio.numerator, ratio.denominator)[:2]
+        output = 8 * resampled_length(len(clip), rate, target)
+        assert peak <= output + taps.nbytes + first.nbytes + 4 * 2**20
+
+    @pytest.mark.parametrize("rate, target", LONG_CLIP_RATES)
+    def test_group_size_changes_no_value(self, monkeypatch, rate, target):
+        clip = noise_clip(32, seconds=10.0, rate=rate)
+        outs = []
+        for group in (1, 2**14, 2**16, 2**20):
+            monkeypatch.setattr(audio, "MIX_BLOCK", group)
+            outs.append(resample(clip, target).samples)
+        for out in outs[1:]:
+            assert np.array_equal(out, outs[0])
+
+    # limit_denominator bounds only the denominator, so an upward ratio keeps its numerator
+    @pytest.mark.parametrize("rate, target, ratio",
+                             [(8000, 264_001, "135169/4096"), (SR, 10**9, "10000000/441")])
+    def test_ratio_with_a_term_over_2_17_refused(self, rate, target, ratio):
+        message = (f"^cannot resample {rate} Hz to {target} Hz: the polyphase cap of 4096 rounds their "
+                   f"ratio to {ratio}, and a term over 131072 is refused$")
+        with pytest.raises(ValueError, match=message):
+            resample(AudioClip(np.ones(5), rate), target)
 
     def test_echo_lag_scales_with_rate(self):
         # lag-100 echo upsampled by 1.25 lands at lag 125 (44.1k -> 55.125k)

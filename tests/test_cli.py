@@ -999,6 +999,11 @@ def test_commands_import_only_what_they_run(tmp_path, keyfile, carrier_wav):
         ("payload encode", ["payload", "encode", "--in", str(carrier_wav), "--out", str(tmp_path / "p.wav"),
                             "--bits", "a5", "--n-bits", "8"]),
         ("payload decode", ["payload", "decode", "--in", str(tmp_path / "p.wav"), "--n-bits", "8"]),
+        ("resampling detect", ["detect", "--in", str(carrier_wav), "--key-file", str(keyfile), "--key", "echo75",
+                               "--sample-rate", "48000"]),
+        ("pitch-shift evaluate", ["evaluate", "--config", str(eval_config(tmp_path, keyfile, channel={
+            "kind": "composite", "stages": [{"kind": "random_resample", "probability": 1, "low": 1.02,
+                                             "high": 1.02}]}))]),
     ]
     src = os.path.dirname(os.path.dirname(echotag.__file__))
     proc = subprocess.run([sys.executable, "-c", STARTUP_SCRIPT, json.dumps(steps)],
@@ -1009,7 +1014,7 @@ def test_commands_import_only_what_they_run(tmp_path, keyfile, carrier_wav):
     for step in ("import", "gen-patterns", "--help"):
         assert loaded[step] == [], step
     for step in ("detect", "spread detect", "spread embed", "spread tag-dataset",
-                 "payload encode", "payload decode"):
+                 "payload encode", "payload decode", "resampling detect", "pitch-shift evaluate"):
         assert isinstance(loaded[step], list), (step, loaded[step])
         assert not [m for m in loaded[step] if m == "scipy.signal" or m.startswith("scipy.signal.")], step
     assert "scipy.io.wavfile" in loaded["detect"]
@@ -1038,6 +1043,17 @@ def test_sample_rate_is_an_integer_or_native(tmp_path, keyfile, carrier_wav, cap
     assert capsys.readouterr().err.splitlines() == [
         "echotag: error: argument --sample-rate: must be a positive integer or 'native', got 'natve'"]
     assert sorted(tmp_path.rglob("*")) == before
+
+
+@pytest.mark.parametrize("command", ["detect", "embed"])
+def test_sample_rate_the_polyphase_cap_leaves_a_huge_term_is_refused(tmp_path, keyfile, carrier_wav, capsys,
+                                                                       command):
+    argv = SAMPLE_RATE_COMMANDS[command](tmp_path, keyfile, carrier_wav)
+    assert run_cli(*argv, "--sample-rate", 10**9) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        "echotag: error: cannot resample 44100 Hz to 1000000000 Hz: the polyphase cap of 4096 rounds their "
+        "ratio to 10000000/441, and a term over 131072 is refused"]
+    assert not (tmp_path / "o.wav").exists()
 
 
 @pytest.mark.parametrize("command", ["detect", "embed"])

@@ -354,7 +354,7 @@ class TestDurationSweep:
         original = harness.apply_channel
 
         def cold(clips, spec, salt=0):
-            audio._design_resample_kernel.cache_clear()
+            audio._resample_plan.cache_clear()
             return original(clips, spec, salt)
 
         monkeypatch.setattr(harness, "apply_channel", cold)

@@ -70,6 +70,7 @@ def commands(inputs, work_dir: str) -> dict:
         "gen-patterns": ["--seed", str(SEED), "gen-patterns", "--count", "4", "--length", "1024",
                          "--out", os.path.join(work_dir, "ps.json")],
         "single-echo detect": detect + ["echo75"],
+        "resampling detect": detect + ["echo75", "--sample-rate", "48000"],
         "payload decode": ["payload", "decode", "--in", inputs.payload_out,
                            "--n-bits", str(inputs.payload_bits)],
         "spread detect": detect + ["pn0"],
