@@ -78,15 +78,11 @@ GONE_RESAMPLE = Kind("left out (tag-dataset --sample-rate native keeps each file
 DETECT_CSV_FIELDS = ("clip_id", "key_id", "duration_seconds", "argmax_lag", "z_at_key", "degenerate")
 
 
-class CommandError(ValueError):
-    """A command that cannot go on with its arguments; `main` reports it."""
-
-
 class _Parser(argparse.ArgumentParser):
-    """An ArgumentParser whose errors reach `main` as CommandErrors, not exit 2."""
+    """An ArgumentParser that raises its errors as ValueErrors for `main` to report, rather than exit 2."""
 
     def error(self, message):
-        raise CommandError(message)
+        raise ValueError(message)
 
 
 def _at_least(low: int):
@@ -177,17 +173,17 @@ def build_parser() -> argparse.ArgumentParser:
 def _pick_key(keys: dict, name):
     if name is not None:
         if name not in keys:
-            raise CommandError(f"key {name!r} not in key file (available: {sorted(keys)})")
+            raise ValueError(f"key {name!r} not in key file (available: {sorted(keys)})")
         return name, keys[name]
     if len(keys) == 1:
         return next(iter(keys.items()))
-    raise CommandError(f"key file holds {len(keys)} keys; pick one with --key (available: {sorted(keys)})")
+    raise ValueError(f"key file holds {len(keys)} keys; pick one with --key (available: {sorted(keys)})")
 
 
 def _require_out_dir(path) -> None:
     out_dir = os.path.dirname(path) or "."
     if not os.path.isdir(out_dir):  # checked before the command's work, the slow part
-        raise CommandError(f"--out directory {out_dir!r} does not exist")
+        raise ValueError(f"--out directory {out_dir!r} does not exist")
 
 
 def _canonicalize(clip, target_rate):
@@ -204,7 +200,7 @@ def cmd_gen_patterns(args) -> int:
         "out": args.out,
         "count": ps.count,
         "length": ps.length,
-        "seed": ps.seed,
+        "seed": args.seed or 0,
         "distances": distances,
     }, sort_keys=True))
     return 0
@@ -269,33 +265,29 @@ def cmd_tag_dataset(args) -> int:
     os.makedirs(base_out, exist_ok=True)
 
     def _one(entry):
+        """(clipped samples, None) for an entry embedded, (0, the error) for one that failed."""
         in_path, out_path, key_name = entry
         os.makedirs(os.path.dirname(out_path) or ".", exist_ok=True)
         try:
-            clipped = _embed_file(in_path, out_path, keys[key_name], args.sample_rate, out_format)
-            return {"in": in_path, "out": out_path, "key": key_name,
-                    "clipped_samples": clipped, "error": None}
+            return _embed_file(in_path, out_path, keys[key_name], args.sample_rate, out_format), None
         except (OSError, ValueError) as exc:
-            return {"in": in_path, "out": out_path, "key": key_name,
-                    "clipped_samples": 0, "error": str(exc)}
+            return 0, str(exc)
 
     with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-        results = list(pool.map(_one, entries))
+        outcomes = list(pool.map(_one, entries))
 
-    failures = [r for r in results if r["error"]]
-    lock = {
-        "version": MANIFEST_VERSION,
-        "outputs": {
-            r["out"]: {"input": r["in"], "key": r["key"], "clipped_samples": r["clipped_samples"]}
-            for r in results if not r["error"]
-        },
-    }
-    write_json(os.path.join(base_out, LOCKFILE_NAME), lock)
+    outputs, failures = {}, []
+    for (in_path, out_path, key_name), (clipped, error) in zip(entries, outcomes):
+        if error:
+            failures.append({"in": in_path, "error": error})
+        else:
+            outputs[out_path] = {"input": in_path, "key": key_name, "clipped_samples": clipped}
+    write_json(os.path.join(base_out, LOCKFILE_NAME), {"version": MANIFEST_VERSION, "outputs": outputs})
     summary = {
-        "files": len(results),
-        "succeeded": len(results) - len(failures),
-        "failed": [{"in": r["in"], "error": r["error"]} for r in failures],
-        "clipped_samples_total": sum(r["clipped_samples"] for r in results),
+        "files": len(entries),
+        "succeeded": len(outputs),
+        "failed": failures,
+        "clipped_samples_total": sum(clipped for clipped, _ in outcomes),
         "lockfile": os.path.join(base_out, LOCKFILE_NAME),
     }
     print(json.dumps(summary, sort_keys=True))
@@ -303,11 +295,13 @@ def cmd_tag_dataset(args) -> int:
 
 
 def cmd_detect(args) -> int:
+    if args.full_profile and args.format != "json":
+        raise ValueError(f"--full-profile is for JSON output, and --format is {args.format}")
     key_name, key = _pick_key(load_key_file(args.key_file), args.key)
     if isinstance(key, SpreadKey) and args.band is not None:
-        raise CommandError(f"--band is for single-echo keys, and key {key_name!r} is a spread key")
+        raise ValueError(f"--band is for single-echo keys, and key {key_name!r} is a spread key")
     if not isinstance(key, SpreadKey) and args.enhanced:
-        raise CommandError(f"--enhanced is for spread keys, and key {key_name!r} is a single echo")
+        raise ValueError(f"--enhanced is for spread keys, and key {key_name!r} is a single echo")
     band = tuple(args.band or DEFAULT_SINGLE_ECHO_BAND)
     scoring_length(key, band)  # refuses a bad band or a key lag outside it before the clip is read
     clip = _canonicalize(load_audio(args.in_path), args.sample_rate)
@@ -355,6 +349,7 @@ def cmd_evaluate(args) -> int:
 
 
 def main(argv=None) -> int:
+    """Run one command line (sys.argv[1:] by default); returns 0, or 1 after one error line on stderr."""
     logging.basicConfig(format="%(levelname)s %(name)s: %(message)s", stream=sys.stderr)
     logging.getLogger().setLevel(logging.INFO)  # -v holds for the one call that gives it
     try:
@@ -362,9 +357,9 @@ def main(argv=None) -> int:
         if args.verbose:
             logging.getLogger().setLevel(logging.DEBUG)
         if args.seed is not None and args.command != "gen-patterns":
-            raise CommandError(f"--seed is read by gen-patterns only, not by {args.command}")
+            raise ValueError(f"--seed is read by gen-patterns only, not by {args.command}")
         return globals()["cmd_" + args.command.replace("-", "_")](args)
-    except (OSError, ValueError) as exc:  # CommandError and ConfigError are ValueErrors
+    except (OSError, ValueError) as exc:  # a ConfigError is a ValueError
         log.debug("echotag failed", exc_info=True)
         print(f"echotag: error: {exc}", file=sys.stderr)
         return 1

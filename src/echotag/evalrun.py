@@ -29,7 +29,7 @@ import contextlib
 import csv
 import glob
 import os
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -207,9 +207,10 @@ def run_evaluation(config: EvalConfig) -> dict:
         band=config.band,
         include_clean=config.include_clean,
     )
-    csv_rows = [{"experiment": "duration_sweep", **asdict(r)} for r in rows]
+    csv_rows = [{"experiment": "duration_sweep", **r} for r in rows]
 
-    clean_z = np.array([r.z_at_key for r in rows if r.condition == "clean" and r.z_at_key is not None])
+    clean_z = np.array([r["z_at_key"] for r in rows
+                        if r["condition"] == "clean" and r["z_at_key"] is not None])
     summary = {
         "version": CONFIG_VERSION,
         "key": config.key_name,

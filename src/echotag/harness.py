@@ -231,20 +231,6 @@ def roc(true_scores, false_scores) -> RocResult:
 # experiment sweeps
 
 
-@dataclass
-class SweepRow:
-    """One experiment cell: clip x duration x segment x condition."""
-
-    clip_id: str
-    condition: str  # "embedded" | "clean"
-    duration_seconds: float
-    segment_index: int
-    key_id: str
-    argmax_lag: int
-    z_at_key: float | None
-    degenerate: bool
-
-
 def segment_length(seconds: float, rate: int) -> int:
     """Samples in a segment of `seconds` cut from a clip at `rate`."""
     return int(round(seconds * rate))
@@ -281,8 +267,10 @@ def run_duration_sweep(corpus, key, durations, segments_per_clip: int,
     """Detection over random segments of each duration, embedded and clean.
 
     corpus is a sequence of (clip_id, AudioClip) pairs; every clip must cover
-    the longest duration. Returns long-format SweepRow records, embedded rows
-    first within each cell, in (clip, duration, segment) order.
+    the longest duration. Returns a dict per row, embedded first within each
+    cell, in (clip, duration, segment) order, keyed by the results.csv columns
+    but experiment and flips. z_at_key is None when the key's lag lies outside
+    the scored band.
     """
     rows = []
     cells = _cells(corpus, key, durations, segments_per_clip, channel, seed, include_clean)
@@ -292,16 +280,16 @@ def run_duration_sweep(corpus, key, durations, segments_per_clip: int,
                 report = detect_single_echo(degraded, band=band, key_lag=key.delta)
             else:
                 report = detect_spread(degraded, key)
-            rows.append(SweepRow(
-                clip_id=clip_id,
-                condition=condition,
-                duration_seconds=float(duration),
-                segment_index=segment_index,
-                key_id=key.label,
-                argmax_lag=report.argmax_lag,
-                z_at_key=report.z_at_key,
-                degenerate=report.profile.degenerate,
-            ))
+            rows.append({
+                "clip_id": clip_id,
+                "condition": condition,
+                "duration_seconds": float(duration),
+                "segment_index": segment_index,
+                "key_id": key.label,
+                "argmax_lag": report.argmax_lag,
+                "z_at_key": report.z_at_key,
+                "degenerate": report.profile.degenerate,
+            })
     return rows
 
 
@@ -309,8 +297,8 @@ def median_z_by_duration(rows, condition: str = "embedded") -> dict:
     """Median z_at_key per duration for one condition of a sweep."""
     grouped = {}
     for row in rows:
-        if row.condition == condition and row.z_at_key is not None:
-            grouped.setdefault(row.duration_seconds, []).append(row.z_at_key)
+        if row["condition"] == condition and row["z_at_key"] is not None:
+            grouped.setdefault(row["duration_seconds"], []).append(row["z_at_key"])
     return {duration: float(np.median(v)) for duration, v in sorted(grouped.items())}
 
 

@@ -3,8 +3,9 @@
 
 A key file is human-readable JSON with a version field so forensic
 workflows can audit exactly which keys tagged which outputs. Pattern bits are
-hex strings, MSB-first, zero-padded to a multiple of 4 bits; the true bit
-length always travels alongside in the key's length field.
+hex strings, MSB-first, zero-padded to a multiple of 4 bits, so exactly
+ceil(length / 4) digits; the true bit length always travels alongside in the
+key's length field.
 
 Key file:
     {"version": 1,
@@ -43,13 +44,16 @@ def bits_to_hex(bits) -> str:
 
 
 def hex_to_bits(hex_string: str, length: int) -> np.ndarray:
-    """Unpack `length` bits from an MSB-first hex string."""
+    """Unpack `length` bits from an MSB-first hex string of exactly ceil(length / 4) digits."""
     if not 0 <= length <= 4 * len(hex_string):
         raise ValueError(f"cannot take {length} of the {4 * len(hex_string)} bits the hex string holds")
     try:
         values = np.array([int(ch, 16) for ch in hex_string], dtype=np.uint8)
     except ValueError:
         raise ValueError(f"{reprlib.repr(hex_string)} is not a hex string") from None
+    digits = -(-length // 4)
+    if len(hex_string) != digits:
+        raise ValueError(f"{length} bits take ceil({length} / 4) = {digits} hex digits, got {len(hex_string)}")
     bits = ((values[:, None] >> np.array([3, 2, 1, 0])) & 1).reshape(-1)
     return bits[:length].astype(np.uint8)
 
@@ -235,7 +239,7 @@ def load_pattern_set(path) -> PatternSet:
     """The patterns of a key file's spread keys, in file order, as a pattern set; single-echo
     keys are skipped. One ConfigError lists every way the set breaks the pattern-set rule."""
     patterns = [key.pattern for key in load_key_file(path).values() if isinstance(key, SpreadKey)]
-    pattern_set = PatternSet(patterns, seed=None)
+    pattern_set = PatternSet(patterns)
     problems = validate_pattern_set(pattern_set)
     if problems:
         raise ConfigError("pattern set in key file", path, problems)

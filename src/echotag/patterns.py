@@ -22,10 +22,10 @@ PATTERN_SET_TRIES = 1000
 
 @dataclass
 class PatternSet:
-    """A family of equal-length binary patterns."""
+    """A family of binary patterns, held as uint8 arrays; validate_pattern_set checks the
+    pattern-set rule. It keeps no seed: a key file, the one place a set is saved, holds none."""
 
     patterns: list
-    seed: int | None  # None for a set read from a key file, which holds no seed
 
     def __post_init__(self):
         self.patterns = [np.asarray(p, dtype=np.uint8) for p in self.patterns]
@@ -129,11 +129,15 @@ def generate_pattern_set(count: int, length: int, seed: int) -> PatternSet:
     Pattern 0 comes from generate_pattern; the others flip nested random
     position sets of increasing size (targets i*L/count), then repair runs.
     Returns the first try that meets the pattern-set rule (module docstring);
-    raises ValueError when PATTERN_SET_TRIES tries have all failed.
+    raises ValueError at once for a count over 2 * length, which the rule never
+    allows, and when PATTERN_SET_TRIES tries have all failed.
     """
     if count < 2:
         raise ValueError(f"need at least 2 patterns for a distance spread, got {count}")
     base = generate_pattern(length, seed)
+    if count > 2 * length:  # no gap may exceed 2L/count < 1, yet the sorted distances climb from 0 to L
+        raise ValueError(f"the pattern-set rule allows at most 2 * length = {2 * length} patterns "
+                         f"of length {length}, got count={count}")
     rng = np.random.default_rng([seed, 1])
     targets = [round(i * length / count) for i in range(1, count)]
     for _ in range(PATTERN_SET_TRIES):
@@ -143,7 +147,7 @@ def generate_pattern_set(count: int, length: int, seed: int) -> PatternSet:
             flipped = base.copy()
             flipped[perm[:t]] ^= 1
             patterns.append(repair_runs(flipped))
-        candidate = PatternSet(patterns, seed)
+        candidate = PatternSet(patterns)
         if not validate_pattern_set(candidate):
             return candidate
     raise ValueError(f"pattern generation did not reach the distance-spread targets "

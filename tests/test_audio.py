@@ -13,7 +13,6 @@ from echotag import AudioClip, ChannelSpec, detect_single_echo, load_audio, mix,
 from echotag import audio, evalrun
 from echotag.audio import _MAX_POLYPHASE_FACTOR, _resample_plan, resampled_length
 from echotag.embed import EchoKey, embed_single_echo
-from echotag.harness import SweepRow
 from echotag.keyfiles import write_json
 from helpers import SR, music_clip, noise_clip, resample_fresh, resample_uncached, sine_clip, traced_peak
 
@@ -410,7 +409,8 @@ def _write_json_failing_mid_write(target, monkeypatch):
 
 
 def _evaluate_three_rows(output_dir, monkeypatch, z=9.0):
-    rows = [SweepRow("c0", "embedded", 5.0, index, "k", 75, z, False) for index in range(3)]
+    rows = [{"clip_id": "c0", "condition": "embedded", "duration_seconds": 5.0, "segment_index": index,
+             "key_id": "k", "argmax_lag": 75, "z_at_key": z, "degenerate": False} for index in range(3)]
     monkeypatch.setattr(evalrun, "run_duration_sweep", lambda *args, **kwargs: rows)
     evalrun.run_evaluation(evalrun.EvalConfig(
         corpus=[], key_name="k", key=EchoKey(75), output_dir=str(output_dir), seed=0,

@@ -4,6 +4,7 @@ import logging
 import os
 import re
 import shlex
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -108,6 +109,14 @@ class TestGenPatterns:
         assert proc.stderr.splitlines() == [
             "echotag: error: pattern generation did not reach the distance-spread targets "
             "(count=8, length=4, seed=0); try another seed"]
+        assert not out.exists()
+
+    def test_count_over_twice_the_length_refused_at_once(self, tmp_path, capsys):
+        out = tmp_path / "ps.json"
+        assert run_cli("gen-patterns", "--count", 5, "--length", 2, "--out", out) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            "echotag: error: the pattern-set rule allows at most 2 * length = 4 patterns "
+            "of length 2, got count=5"]
         assert not out.exists()
 
 
@@ -221,6 +230,16 @@ class TestEmbedDetect:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.splitlines() == [f"echotag: error: {message}"]
+
+    def test_full_profile_with_csv_refused_before_reading(self, keyfile, carrier_wav, capsys, monkeypatch):
+        for name in ("load_key_file", "load_audio"):
+            monkeypatch.setattr(f"echotag.cli.{name}", _work_that_must_not_run)
+        assert run_cli("detect", "--in", carrier_wav, "--key-file", keyfile, "--key", "echo75",
+                       "--full-profile", "--format", "csv") == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [
+            "echotag: error: --full-profile is for JSON output, and --format is csv"]
 
     def test_embed_does_not_mutate_input(self, tmp_path, keyfile, carrier_wav):
         before = carrier_wav.read_bytes()
@@ -341,20 +360,23 @@ class TestTagDataset:
             assert json.loads(capsys.readouterr().out)["argmax_lag"] == 50
 
     def test_parallel_jobs_match_serial(self, tmp_path, keyfile, capsys):
-        self._make_corpus(tmp_path, ["a.wav", "b.wav", "c.wav", "d.wav"])
-        manifest = self._write_manifest(tmp_path, keyfile,
-                                        [{"input": "*.wav", "key": "echo75",
-                                          "output_dir": "serial"}])
-        run_cli("tag-dataset", "--manifest", manifest)
-        manifest2 = self._write_manifest(tmp_path, keyfile,
-                                         [{"input": "*.wav", "key": "echo75",
-                                           "output_dir": "parallel"}])
-        run_cli("tag-dataset", "--jobs", 4, "--manifest", manifest2)
-        capsys.readouterr()
-        for name in ("a.wav", "b.wav", "c.wav", "d.wav"):
-            serial = (tmp_path / "out" / "serial" / name).read_bytes()
-            parallel = (tmp_path / "out" / "parallel" / name).read_bytes()
-            assert serial == parallel
+        names = ["a.wav", "b.wav", "c.wav", "d.wav"]
+        self._make_corpus(tmp_path, names)
+        (tmp_path / "in" / "b2.wav").write_text("not a WAV file")  # fails mid-order
+        manifest = self._write_manifest(tmp_path, keyfile, [{"input": "*.wav", "key": "echo75"}])
+        runs = []
+        for jobs in (1, 2):  # the same outputs, so each run starts from none
+            code = run_cli("tag-dataset", "--jobs", jobs, "--manifest", manifest)
+            lock = (tmp_path / "out" / "tag_lock.json").read_bytes()
+            audio = [(tmp_path / "out" / name).read_bytes() for name in names]
+            runs.append((code, capsys.readouterr().out, lock, audio))
+            shutil.rmtree(tmp_path / "out")
+        assert runs[0] == runs[1]
+        code, out, lock, _ = runs[0]
+        summary = json.loads(out)
+        assert code == 1 and summary["succeeded"] == 4
+        assert [failure["in"] for failure in summary["failed"]] == [str(tmp_path / "in" / "b2.wav")]
+        assert list(json.loads(lock)["outputs"]) == [str(tmp_path / "out" / name) for name in names]
 
     def test_jobs_below_one_rejected(self, tmp_path, keyfile, capsys):
         self._make_corpus(tmp_path, ["a.wav"])
@@ -522,6 +544,9 @@ PAYLOAD_ARGUMENT_ERRORS = {
     "encode-more-bits-than-hex": lambda tmp, wav: (
         ["payload", "encode", "--in", wav, "--out", tmp / "o.wav", "--bits", "a5", "--n-bits", 9],
         "cannot take 9 of the 8 bits the hex string holds"),
+    "encode-more-hex-than-bits": lambda tmp, wav: (
+        ["payload", "encode", "--in", wav, "--out", tmp / "o.wav", "--bits", "ffffffff", "--n-bits", 4],
+        "4 bits take ceil(4 / 4) = 1 hex digits, got 8"),
     "decode-without-n-bits": lambda tmp, wav: (
         ["payload", "decode", "--in", wav], "the following arguments are required: --n-bits"),
     "decode-negative-n-bits": lambda tmp, wav: (

@@ -19,7 +19,7 @@ from echotag import (
     run_bitflip_curve,
     run_duration_sweep,
 )
-from echotag import audio, harness
+from echotag import audio, evalrun, harness
 from echotag.harness import channel_length_bound, echo_alpha_scale, median_z_by_duration
 from helpers import (
     SR,
@@ -317,10 +317,10 @@ class TestDurationSweep:
         rows = run_duration_sweep(corpus, EchoKey(75, 0.4), durations=[5.0, 10.0],
                                   segments_per_clip=2, seed=1)
         assert len(rows) == 3 * 2 * 2 * 2  # clips x durations x segments x conditions
-        embedded = [r for r in rows if r.condition == "embedded"]
-        assert all(r.argmax_lag == 75 for r in embedded)
-        clean = [r for r in rows if r.condition == "clean"]
-        assert -2.0 <= np.median([r.z_at_key for r in clean]) <= 2.0
+        embedded = [r for r in rows if r["condition"] == "embedded"]
+        assert all(r["argmax_lag"] == 75 for r in embedded)
+        clean = [r for r in rows if r["condition"] == "clean"]
+        assert -2.0 <= np.median([r["z_at_key"] for r in clean]) <= 2.0
         medians = median_z_by_duration(rows)
         assert medians[10.0] >= medians[5.0]
 
@@ -329,8 +329,8 @@ class TestDurationSweep:
         kwargs = dict(durations=[5.0], segments_per_clip=2, seed=3)
         rows_a = run_duration_sweep(corpus, EchoKey(50, 0.4), **kwargs)
         rows_b = run_duration_sweep(corpus, EchoKey(50, 0.4), **kwargs)
-        assert [(r.z_at_key, r.argmax_lag) for r in rows_a] == \
-               [(r.z_at_key, r.argmax_lag) for r in rows_b]
+        assert [(r["z_at_key"], r["argmax_lag"]) for r in rows_a] == \
+               [(r["z_at_key"], r["argmax_lag"]) for r in rows_b]
 
     def test_attenuation_weakens_embedding(self):
         corpus = [("a", noise_clip(51, seconds=6.0, scale=1.0))]
@@ -339,8 +339,8 @@ class TestDurationSweep:
         weak = run_duration_sweep(corpus, EchoKey(75, 0.4), durations=[5.0],
                                   segments_per_clip=3, seed=4,
                                   channel=ChannelSpec(kind="attenuate_echo", ratio=0.25))
-        z_strong = np.median([r.z_at_key for r in strong if r.condition == "embedded"])
-        z_weak = np.median([r.z_at_key for r in weak if r.condition == "embedded"])
+        z_strong = np.median([r["z_at_key"] for r in strong if r["condition"] == "embedded"])
+        z_weak = np.median([r["z_at_key"] for r in weak if r["condition"] == "embedded"])
         assert z_weak < z_strong
 
     def test_rows_equal_with_the_kernel_memo_cleared_before_each_channel(self, monkeypatch):
@@ -359,6 +359,15 @@ class TestDurationSweep:
 
         monkeypatch.setattr(harness, "apply_channel", cold)
         assert run_duration_sweep(corpus, EchoKey(75, 0.4), **kwargs) == memoized
+
+    def test_rows_are_dicts_of_the_results_columns(self):
+        corpus = [("a", noise_clip(54, seconds=3.0, scale=1.0))]
+        for key in (EchoKey(75, 0.4), SpreadKey(generate_pattern(64, 3))):
+            rows = run_duration_sweep(corpus, key, durations=[1.0, 2.0], segments_per_clip=2, seed=5)
+            assert len(rows) == 2 * 2 * 2
+            for row in rows:
+                assert type(row) is dict
+                assert sorted([*row, "experiment", "flips"]) == sorted(evalrun.RESULTS_FIELDS)
 
     def test_segment_too_long_rejected(self):
         corpus = [("a", noise_clip(52, seconds=2.0))]

@@ -82,6 +82,14 @@ class TestKeyFiles:
         assert loaded["echo50"].delta == 50
         assert np.array_equal(loaded["pn0"].pattern, keys["pn0"].pattern)
 
+    def test_spread_bits_with_more_hex_digits_than_the_length_takes_refused(self, tmp_path):
+        path = tmp_path / "keys.json"
+        path.write_text(json.dumps({"version": 1, "keys": {"pn0": {
+            "type": "spread", "alpha": 0.01, "delta": 75, "length": 16, "bits": "abcd0123456789"}}}))
+        with pytest.raises(ConfigError) as info:
+            load_key_file(path)
+        assert info.value.problems == ["key 'pn0': 16 bits take ceil(16 / 4) = 4 hex digits, got 14"]
+
     def test_version_gate(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps({"version": 99, "keys": {}}))

@@ -115,7 +115,7 @@ class TestFastPathsMatchLoops:
     def test_distance_matrix(self, count, length, seed, ones):
         # ones 0 and 1 give all-equal patterns
         patterns = list(np.random.default_rng(seed).random((count, length)) < ones)
-        matrix = PatternSet(patterns, seed).distance_matrix
+        matrix = PatternSet(patterns).distance_matrix
         assert np.array_equal(matrix, distance_matrix_loop(patterns))
 
 
@@ -203,14 +203,14 @@ class TestGeneratePatternSet:
 
     def test_validator_rejects_distances_clustered_near_half(self):
         # independent patterns sit near L/2 = 512 apart: far apart, but not spread
-        ps = PatternSet([generate_pattern(1024, seed) for seed in range(8)], seed=0)
+        ps = PatternSet([generate_pattern(1024, seed) for seed in range(8)])
         distances = ps.pairwise_distances()
         assert distances.min() >= 1024 / 16
         gap = 1024 - distances.max()
         assert validate_pattern_set(ps) == [f"largest gap {gap} between sorted distances above 256"]
 
     def test_validator_rejects_mixed_lengths(self):
-        mixed = PatternSet([generate_pattern(8, 0), generate_pattern(9, 0)], seed=0)
+        mixed = PatternSet([generate_pattern(8, 0), generate_pattern(9, 0)])
         assert validate_pattern_set(mixed) == ["patterns have mixed lengths [8, 9]"]
 
     def test_validator_accepts_generated(self):
